@@ -542,9 +542,8 @@ func BenchmarkEngineChurn(b *testing.B) {
 // quiescedEngineBench builds an exactly-uniform engine (equal speeds,
 // identical integer loads) so every edge flow is bitwise zero and the
 // activity gate puts the whole graph to sleep, then steps until the hot
-// set drains. Sampling is throttled on both the gated and ungated
-// variants so the O(n) metrics scan does not mask the round cost.
-func quiescedEngineBench(b *testing.B, rows, cols, sampleEvery int, gate discretelb.EngineGateMode) *discretelb.Engine {
+// set drains. It samples metrics every round, lbserve's default.
+func quiescedEngineBench(b *testing.B, rows, cols int, gate discretelb.EngineGateMode) *discretelb.Engine {
 	b.Helper()
 	g, err := discretelb.NewTorus(rows, cols)
 	if err != nil {
@@ -560,7 +559,7 @@ func quiescedEngineBench(b *testing.B, rows, cols, sampleEvery int, gate discret
 	}
 	eng, err := discretelb.NewEngine(discretelb.EngineConfig{
 		Graph: g, Speeds: discretelb.UniformSpeeds(g.N()), Tasks: tasks,
-		Gate: gate, SampleEvery: sampleEvery,
+		Gate: gate,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -597,7 +596,7 @@ func stepQuiesced(b *testing.B, eng *discretelb.Engine) {
 // only; the acceptance target is ≥10× over the Ungated twin below, which
 // measures the identical workload with the full-scan round.
 func BenchmarkEngineStepQuiesced(b *testing.B) {
-	eng := quiescedEngineBench(b, 100, 100, 100, discretelb.EngineGateOn)
+	eng := quiescedEngineBench(b, 100, 100, discretelb.EngineGateOn)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stepQuiesced(b, eng)
@@ -607,7 +606,7 @@ func BenchmarkEngineStepQuiesced(b *testing.B) {
 // BenchmarkEngineStepQuiescedUngated is the full-scan baseline for the
 // quiesced workload — same graph, same events, gate forced off.
 func BenchmarkEngineStepQuiescedUngated(b *testing.B) {
-	eng := quiescedEngineBench(b, 100, 100, 100, discretelb.EngineGateOff)
+	eng := quiescedEngineBench(b, 100, 100, discretelb.EngineGateOff)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stepQuiesced(b, eng)
@@ -617,11 +616,10 @@ func BenchmarkEngineStepQuiescedUngated(b *testing.B) {
 // BenchmarkEngineStepMillion is the first million-node in-process round:
 // a 1000×1000 torus (1M nodes, 2M edges), mostly quiesced, one hot
 // neighbourhood per round. Affordable only because the gate makes the
-// round cost O(|hot|) instead of O(n+m). Sampling is throttled harder
-// than the 10k benchmark — at this scale the O(n) discrepancy scan of a
-// single sample costs ~50 gated rounds.
+// round cost O(|hot|) instead of O(n+m), and the discrepancy tracker makes
+// the per-round sample O(changed).
 func BenchmarkEngineStepMillion(b *testing.B) {
-	eng := quiescedEngineBench(b, 1000, 1000, 1000, discretelb.EngineGateOn)
+	eng := quiescedEngineBench(b, 1000, 1000, discretelb.EngineGateOn)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stepQuiesced(b, eng)

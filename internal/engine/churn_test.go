@@ -62,6 +62,61 @@ func edgeRemovalKeepsConnected(d *graph.Dynamic, u, v int) bool {
 	return count == d.NumNodes()
 }
 
+// randomChurnEvent draws one connectivity-preserving event at the engine's
+// current round: a weighted burst, completions, a join of speed
+// 1..maxSpeed with 1..3 peers, a leave, or an edge flip. arrived and
+// completions are the load the event asks to move; ok is false when the
+// draw found nothing valid to do.
+func randomChurnEvent(rng *rand.Rand, e *Engine, maxSpeed int64) (ev Event, arrived int64, completions int, ok bool) {
+	round := e.Round()
+	topo := e.Topology()
+	nodes := topo.ActiveNodes()
+	switch rng.Intn(5) {
+	case 0: // weighted burst
+		n := nodes[rng.Intn(len(nodes))]
+		tasks := make([]load.Task, 1+rng.Intn(200))
+		for i := range tasks {
+			tasks[i] = load.Task{Weight: 1 + rng.Int63n(3)}
+			arrived += tasks[i].Weight
+		}
+		return ArrivalTasks(round, n, tasks), arrived, 0, true
+	case 1: // completions
+		n := nodes[rng.Intn(len(nodes))]
+		c := 1 + rng.Intn(50)
+		return Completion(round, n, c), 0, c, true
+	case 2: // join with 1..3 peers
+		k := 1 + rng.Intn(3)
+		peers := make([]int, 0, k)
+		seen := map[int]bool{}
+		for len(peers) < k {
+			p := nodes[rng.Intn(len(nodes))]
+			if !seen[p] {
+				seen[p] = true
+				peers = append(peers, p)
+			}
+		}
+		return Join(round, 1+rng.Int63n(maxSpeed), peers...), 0, 0, true
+	case 3: // leave, connectivity permitting
+		cand := nodes[rng.Intn(len(nodes))]
+		if topo.NumNodes() > 2 && leaveKeepsConnected(topo, cand) {
+			return Leave(round, cand), 0, 0, true
+		}
+	case 4: // edge flip, connectivity permitting
+		u := nodes[rng.Intn(len(nodes))]
+		v := nodes[rng.Intn(len(nodes))]
+		if u == v {
+			break
+		}
+		if !topo.HasEdge(u, v) {
+			return EdgeChange(round, [][2]int{{u, v}}, nil), 0, 0, true
+		}
+		if edgeRemovalKeepsConnected(topo, u, v) {
+			return EdgeChange(round, nil, [][2]int{{u, v}}), 0, 0, true
+		}
+	}
+	return Event{}, 0, 0, false
+}
+
 // TestEngineChurnProperties is the property suite: under arbitrary
 // (connectivity-preserving) event sequences, total non-dummy load is
 // conserved modulo arrivals and completions at every event boundary —
@@ -89,66 +144,15 @@ func TestEngineChurnProperties(t *testing.T) {
 				if err := e.Step(); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
+				checkTracker(t, e, "churn step")
 				continue
 			}
 			// Schedule at the engine's current round and step immediately,
 			// so every event fires against the topology it was validated on.
-			round := e.Round()
-			topo := e.Topology()
-			nodes := topo.ActiveNodes()
-			switch rng.Intn(5) {
-			case 0: // weighted burst
-				n := nodes[rng.Intn(len(nodes))]
-				count := 1 + rng.Intn(200)
-				tasks := make([]load.Task, count)
-				for i := range tasks {
-					tasks[i] = load.Task{Weight: 1 + rng.Int63n(3)}
-					arrived += tasks[i].Weight
-				}
-				if err := e.Schedule(ArrivalTasks(round, n, tasks)); err != nil {
-					t.Fatal(err)
-				}
-			case 1: // completions
-				n := nodes[rng.Intn(len(nodes))]
-				c := 1 + rng.Intn(50)
+			if ev, a, c, ok := randomChurnEvent(rng, e, 2); ok {
+				arrived += a
 				completedBudget += int64(c)
-				if err := e.Schedule(Completion(round, n, c)); err != nil {
-					t.Fatal(err)
-				}
-			case 2: // join with 1..3 peers
-				k := 1 + rng.Intn(3)
-				peers := make([]int, 0, k)
-				seen := map[int]bool{}
-				for len(peers) < k {
-					p := nodes[rng.Intn(len(nodes))]
-					if !seen[p] {
-						seen[p] = true
-						peers = append(peers, p)
-					}
-				}
-				if err := e.Schedule(Join(round, 1+rng.Int63n(2), peers...)); err != nil {
-					t.Fatal(err)
-				}
-			case 3: // leave, connectivity permitting
-				cand := nodes[rng.Intn(len(nodes))]
-				if topo.NumNodes() > 2 && leaveKeepsConnected(topo, cand) {
-					if err := e.Schedule(Leave(round, cand)); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case 4: // edge flip, connectivity permitting
-				u := nodes[rng.Intn(len(nodes))]
-				v := nodes[rng.Intn(len(nodes))]
-				if u == v {
-					break
-				}
-				if topo.HasEdge(u, v) {
-					if edgeRemovalKeepsConnected(topo, u, v) {
-						if err := e.Schedule(EdgeChange(round, nil, [][2]int{{u, v}})); err != nil {
-							t.Fatal(err)
-						}
-					}
-				} else if err := e.Schedule(EdgeChange(round, [][2]int{{u, v}}, nil)); err != nil {
+				if err := e.Schedule(ev); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -158,6 +162,7 @@ func TestEngineChurnProperties(t *testing.T) {
 			if err := e.Step(); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
+			checkTracker(t, e, "churn step")
 		}
 
 		// Accounting: conservation modulo arrivals and completions. The

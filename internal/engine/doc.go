@@ -36,5 +36,7 @@
 //
 // A streaming metrics ring records discrepancy, potential Φ, dummy-token
 // counts and per-round latency; cmd/lbserve exposes the ring, snapshots
-// and event injection over HTTP.
+// and event injection over HTTP. The discrepancy quantities come from an
+// exact incremental tracker that re-reads only the pools a round or event
+// touched, so a sample costs O(changed), not O(n).
 package engine

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -141,6 +140,11 @@ type Engine struct {
 	// speedSum is the total speed of the active nodes, maintained across
 	// joins and leaves so the metrics path needs no per-node speed scan.
 	speedSum int64
+
+	// trk tracks the discrepancy quantities exactly and incrementally (see
+	// discrepancy.go). Never serialized — every construction path rebuilds
+	// it from the pools.
+	trk tracker
 
 	// deepAudit runs AuditFull after every applied event; fullAudits
 	// counts recounts (the default event path performs none).
@@ -286,6 +290,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	copy(e.alpha, alpha)
 	e.initGate(cfg.Gate == GateOn)
+	e.initTracker()
 	if cfg.WAL != nil {
 		if err := e.AttachWAL(cfg.WAL, cfg.SnapshotEvery); err != nil {
 			e.pool.close()
@@ -569,6 +574,9 @@ func (e *Engine) runRoundFull() {
 			e.x[v] += n
 		}
 	}
+	// Any pool may have changed: the next tracker refresh re-reads them all
+	// in one linear pass.
+	e.trk.dirty.fill()
 	e.round++
 	now := nowMetric()
 	e.instr.stage["round_flows"].ObserveDuration(tDecide.Sub(tFlows))
@@ -661,6 +669,7 @@ func (e *Engine) mutateLedgered(i int, mutate func(st *dist.SendState)) (dReal i
 	total, real := st.Counters()
 	e.ledTotal += total - total0
 	e.ledReal += real - real0
+	e.trk.dirty.set(i)
 	return real - real0
 }
 
@@ -741,6 +750,7 @@ func (e *Engine) applyJoin(ev Event) (int, error) {
 	e.growNode(slot)
 	e.s[slot] = speed
 	e.speedSum += speed
+	e.trackJoin(slot)
 	e.x[slot] = 0
 	e.st[slot] = dist.NewSendState(nil, 0)
 	for _, p := range ev.Peers {
@@ -764,6 +774,7 @@ func (e *Engine) applyLeave(ev Event) error {
 		return errors.New("last node cannot leave")
 	}
 	neigh := append([]graph.Arc(nil), e.topo.Neighbors(node)...)
+	e.trackLeave(node)
 	// Drain zeroes the pool's weight counters (the cumulative dummy-draw
 	// counter survives for retirement below); the ledger gives the weight
 	// back as the redistribution buckets land on the recipients, so a
@@ -895,6 +906,7 @@ func (e *Engine) growNode(slot int) {
 		e.x = append(e.x, 0)
 		e.st = append(e.st, nil)
 		e.growGateNode(slot)
+		e.growTracker(slot)
 	}
 }
 
@@ -984,44 +996,24 @@ func (e *Engine) AuditFull() error {
 	if total != e.expectedReal+created {
 		return fmt.Errorf("total load %d != real %d + dummies %d", total, e.expectedReal, created)
 	}
-	return nil
+	e.refreshTracker()
+	return e.auditTracker()
 }
 
-// CheckConservation is the historical name of the full recount.
-//
-// Deprecated: use AuditFull (same behaviour); the per-event invocation it
-// used to imply is now the opt-in deep-audit mode.
-func (e *Engine) CheckConservation() error { return e.AuditFull() }
-
 // MaxAvg returns the current max-avg discrepancy of the real load over the
-// active nodes — the Theorem 3 quantity.
+// active nodes — the Theorem 3 quantity. It reads the discrepancy tracker:
+// O(pools changed since the last read), then O(1).
 func (e *Engine) MaxAvg() float64 {
-	maxAvg, _, _ := e.discrepancies()
+	maxAvg, _ := e.extremes()
 	return maxAvg
 }
 
-// discrepancies computes max-avg, max-min and the quadratic potential of
-// the real (dummy-eliminated) load over the active topology. The average
-// reads the maintained speedSum and the ledger, so the only scan is the
-// per-node RealWeight pass itself.
+// discrepancies returns max-avg, max-min and the quadratic potential of
+// the real (dummy-eliminated) load over the active topology, from the
+// incremental tracker: O(pools changed since the last read), then O(1).
 func (e *Engine) discrepancies() (maxAvg, maxMin, potential float64) {
-	if e.speedSum == 0 {
-		return 0, 0, 0
-	}
-	ratio := float64(e.expectedReal) / float64(e.speedSum)
-	hi, lo := math.Inf(-1), math.Inf(1)
-	for i := 0; i < e.topo.NodeSlots(); i++ {
-		if !e.topo.Active(i) {
-			continue
-		}
-		real := float64(e.st[i].RealWeight())
-		m := real / float64(e.s[i])
-		hi = math.Max(hi, m)
-		lo = math.Min(lo, m)
-		dev := real - float64(e.s[i])*ratio
-		potential += dev * dev
-	}
-	return hi - ratio, hi - lo, potential
+	maxAvg, maxMin = e.extremes()
+	return maxAvg, maxMin, e.potential()
 }
 
 // sample appends one metrics sample to the ring, refreshes the registry
@@ -1085,9 +1077,10 @@ type Snapshot struct {
 }
 
 // Snapshot summarizes the current state; includeLoads adds the per-node
-// load vectors.
+// load vectors. Without them it costs O(pools changed since the last
+// read); with them, O(n).
 func (e *Engine) Snapshot(includeLoads bool) Snapshot {
-	maxAvg, maxMin, _ := e.discrepancies()
+	maxAvg, maxMin := e.extremes()
 	snap := Snapshot{
 		Round:      e.round,
 		Nodes:      e.topo.NumNodes(),

@@ -155,6 +155,21 @@ func (h *hotSet) count() int {
 	return n
 }
 
+// union adds every member of o, which must not have more slots than h, in
+// O(|o| + len(o.l2)) words.
+//
+//lb:hotpath
+func (h *hotSet) union(o *hotSet) {
+	for w2i, w2 := range o.l2 {
+		h.l2[w2i] |= w2
+		for w2 != 0 {
+			wi := w2i<<6 | bits.TrailingZeros64(w2)
+			w2 &= w2 - 1
+			h.l1[wi] |= o.l1[wi]
+		}
+	}
+}
+
 // fill sets every one of the n valid slots, masking the tail words.
 //
 //lb:hotpath
@@ -301,9 +316,14 @@ func (e *Engine) growGateEdge(id int) {
 // Enabling wakes the whole graph — gate state is always reconstructed,
 // never assumed — so the next rounds are bit-identical to an engine that
 // had the gate on from the start. Disabling makes every round a full
-// scan. lbserve exposes this as -gate.
+// scan. A posture change also schedules a full re-read of the discrepancy
+// tracker, the same conservative reconstruction. lbserve exposes this as
+// -gate.
 func (e *Engine) WithGate(on bool) *Engine {
 	g := &e.gate
+	if on != g.on {
+		e.trk.markAll()
+	}
 	if on && !g.on {
 		g.on = true
 		g.fullStreak = 0
@@ -532,6 +552,8 @@ func (e *Engine) runRoundGated(hotEdges int) {
 			e.gateWakeNode(i)
 		}
 	}
+	// Only the worklist's pools took or received tasks.
+	e.trk.dirty.union(&g.nodeCur)
 
 	e.round++
 	now := nowMetric()

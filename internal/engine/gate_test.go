@@ -77,6 +77,8 @@ func TestGateBitIdentityUnderChurn(t *testing.T) {
 			if gated.StateHash() != full.StateHash() {
 				t.Fatalf("seed %d round %d: gated state diverged from ungated", seed, r)
 			}
+			checkTracker(t, gated, "gated")
+			checkTracker(t, full, "ungated")
 			if gated.DummiesCreated() != full.DummiesCreated() {
 				t.Fatalf("seed %d round %d: dummy draws diverged: %d vs %d",
 					seed, r, gated.DummiesCreated(), full.DummiesCreated())
@@ -115,6 +117,7 @@ func TestGateToggleMidRun(t *testing.T) {
 		if toggled.StateHash() != full.StateHash() {
 			t.Fatalf("round %d: toggling the gate changed the state", r)
 		}
+		checkTracker(t, toggled, "toggled")
 	}
 }
 

@@ -93,9 +93,8 @@ func newInstruments(reg *obs.Registry) *instruments {
 	return in
 }
 
-// publish refreshes the point-in-time gauges. The discrepancy triple is
-// passed in so callers that already computed it (sample) do not pay the
-// O(n) scan twice.
+// publish refreshes the point-in-time gauges from the discrepancy triple
+// the caller read from the tracker; everything else it reads is O(1).
 func (in *instruments) publish(e *Engine, maxAvg, maxMin, potential float64) {
 	in.round.SetInt(e.round)
 	in.nodes.SetInt(int64(e.topo.NumNodes()))
@@ -185,10 +184,10 @@ func (e *Engine) recordRound(s Sample) {
 func (e *Engine) Registry() *obs.Registry { return e.instr.reg }
 
 // PublishMetrics refreshes the point-in-time gauges (topology size, queue
-// depth, the Theorem 3 discrepancy quantities) into the registry. It runs
-// the O(n) discrepancy scan, and like every other engine method it must be
-// serialized with Step — lbserve's /metrics/prom handler calls it under
-// the server mutex before writing the exposition.
+// depth, the Theorem 3 discrepancy quantities) into the registry. It costs
+// O(pools changed since the last read), and like every other engine method
+// it must be serialized with Step — lbserve's /metrics/prom handler calls
+// it under the server mutex before writing the exposition.
 func (e *Engine) PublishMetrics() {
 	maxAvg, maxMin, potential := e.discrepancies()
 	e.instr.publish(e, maxAvg, maxMin, potential)

@@ -114,6 +114,7 @@ func TestRecoveryIdentityAtEveryCut(t *testing.T) {
 				if e.StateHash() != want {
 					t.Fatalf("cut %d (round %d): recovered state differs from the uninterrupted run", cut, e.Round())
 				}
+				checkTracker(t, e, "restored")
 				e.Close()
 			}
 		})

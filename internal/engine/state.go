@@ -383,6 +383,9 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("engine state: edge %d alpha %v != derived %v", id, e.alpha[id], want)
 		}
 	}
+	// The discrepancy tracker is derived state, rebuilt from the pools;
+	// the audit below checks it against its own recount.
+	e.initTracker()
 	if err := e.AuditFull(); err != nil {
 		return nil, fmt.Errorf("engine state: conservation audit failed: %w", err)
 	}

@@ -23,6 +23,13 @@ type Dynamic struct {
 	freeE  []int
 	n      int // active node count
 	m      int // active edge count
+
+	// degCount[k] is the number of active nodes of degree k and maxDeg the
+	// largest k with degCount[k] > 0, so MaxDegree needs no scan. A degree
+	// moves by one per arc, so when the top bucket empties the next one
+	// down holds the node that left it.
+	degCount []int
+	maxDeg   int
 }
 
 // ErrInactiveNode is returned when an operation names a removed or
@@ -47,6 +54,7 @@ func NewDynamic(g *Graph) *Dynamic {
 		d.active[i] = true
 		d.adj[i] = append([]Arc(nil), g.Neighbors(i)...)
 		d.deg[i] = g.Degree(i)
+		d.degAdd(d.deg[i])
 	}
 	for e := 0; e < g.M(); e++ {
 		u, v := g.EdgeEndpoints(e)
@@ -87,15 +95,34 @@ func (d *Dynamic) EdgeEndpoints(e int) (u, v int) {
 	return d.ends[e][0], d.ends[e][1]
 }
 
-// MaxDegree returns the maximum degree over active nodes.
-func (d *Dynamic) MaxDegree() int {
-	max := 0
-	for i, a := range d.active {
-		if a && d.deg[i] > max {
-			max = d.deg[i]
-		}
+// MaxDegree returns the maximum degree over active nodes in O(1).
+func (d *Dynamic) MaxDegree() int { return d.maxDeg }
+
+// degAdd counts one more active node of degree k.
+func (d *Dynamic) degAdd(k int) {
+	for len(d.degCount) <= k {
+		d.degCount = append(d.degCount, 0)
 	}
-	return max
+	d.degCount[k]++
+	if k > d.maxDeg {
+		d.maxDeg = k
+	}
+}
+
+// degDel counts one active node of degree k less.
+func (d *Dynamic) degDel(k int) {
+	d.degCount[k]--
+	for d.maxDeg > 0 && d.degCount[d.maxDeg] == 0 {
+		d.maxDeg--
+	}
+}
+
+// degSet moves active node i to degree k. The new bucket is filled before
+// the old one is emptied, so maxDeg never steps down past k.
+func (d *Dynamic) degSet(i, k int) {
+	d.degAdd(k)
+	d.degDel(d.deg[i])
+	d.deg[i] = k
 }
 
 // ActiveNodes returns the active node slots in increasing order.
@@ -138,6 +165,7 @@ func (d *Dynamic) AddNode() int {
 	d.active[i] = true
 	d.adj[i] = d.adj[i][:0]
 	d.deg[i] = 0
+	d.degAdd(0)
 	d.n++
 	return i
 }
@@ -169,8 +197,8 @@ func (d *Dynamic) AddEdge(u, v int) (int, error) {
 	d.ends[e] = [2]int{u, v}
 	d.adj[u] = append(d.adj[u], Arc{To: v, Edge: e, Out: +1})
 	d.adj[v] = append(d.adj[v], Arc{To: u, Edge: e, Out: -1})
-	d.deg[u]++
-	d.deg[v]++
+	d.degSet(u, d.deg[u]+1)
+	d.degSet(v, d.deg[v]+1)
 	d.m++
 	return e, nil
 }
@@ -206,7 +234,7 @@ func (d *Dynamic) dropArc(i, e int) {
 	for k, a := range adj {
 		if a.Edge == e {
 			d.adj[i] = append(adj[:k], adj[k+1:]...)
-			d.deg[i]--
+			d.degSet(i, d.deg[i]-1)
 			return
 		}
 	}
@@ -228,7 +256,7 @@ func (d *Dynamic) RemoveNode(i int) ([]int, error) {
 	}
 	d.active[i] = false
 	d.adj[i] = d.adj[i][:0]
-	d.deg[i] = 0
+	d.degDel(0) // every incident edge is gone, so i sits in bucket 0
 	d.freeN = append(d.freeN, i)
 	d.n--
 	return removed, nil

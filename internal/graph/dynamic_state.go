@@ -98,9 +98,10 @@ func RestoreDynamic(st DynamicState) (*Dynamic, error) {
 		d.adj[i] = arcs
 		d.deg[i] = len(arcs)
 	}
-	for _, a := range st.Active {
+	for i, a := range st.Active {
 		if a {
 			d.n++
+			d.degAdd(d.deg[i])
 		}
 	}
 	for e, ends := range st.Ends {

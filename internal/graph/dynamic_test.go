@@ -213,3 +213,81 @@ func checkDynamicInvariants(t *testing.T, d *Dynamic, step int) {
 			step, n, m, degSum, d.NumNodes(), d.NumEdges())
 	}
 }
+
+// bruteMaxDegree is the reference scan the degree histogram replaces.
+func bruteMaxDegree(d *Dynamic) int {
+	max := 0
+	for i := 0; i < d.NodeSlots(); i++ {
+		if d.Active(i) && d.Degree(i) > max {
+			max = d.Degree(i)
+		}
+	}
+	return max
+}
+
+// TestDynamicMaxDegreeHistogram checks the O(1) MaxDegree against a
+// brute-force scan after every single mutation of a random join, leave,
+// edge-add and edge-remove sequence, and after an ExportState →
+// RestoreDynamic round trip. A hub node that gains and sheds edges makes
+// the top bucket empty repeatedly.
+func TestDynamicMaxDegreeHistogram(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		d := NewDynamic(MustNew(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}))
+		check := func(step int, what string) {
+			t.Helper()
+			if got, want := d.MaxDegree(), bruteMaxDegree(d); got != want {
+				t.Fatalf("seed %d step %d after %s: MaxDegree %d, scan %d", seed, step, what, got, want)
+			}
+		}
+		for step := 0; step < 600; step++ {
+			nodes := d.ActiveNodes()
+			u, v := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+			if rng.Intn(3) == 0 {
+				u = nodes[0] // the hub
+			}
+			switch rng.Intn(4) {
+			case 0:
+				i := d.AddNode()
+				check(step, "join")
+				for k := 0; k < 1+rng.Intn(3); k++ {
+					p := nodes[rng.Intn(len(nodes))]
+					if !d.HasEdge(i, p) {
+						if _, err := d.AddEdge(i, p); err != nil {
+							t.Fatal(err)
+						}
+						check(step, "join edge")
+					}
+				}
+			case 1:
+				if d.NumNodes() > 3 {
+					if _, err := d.RemoveNode(v); err != nil {
+						t.Fatal(err)
+					}
+					check(step, "leave")
+				}
+			case 2:
+				if u != v && !d.HasEdge(u, v) {
+					if _, err := d.AddEdge(u, v); err != nil {
+						t.Fatal(err)
+					}
+					check(step, "edge add")
+				}
+			case 3:
+				if deg := d.Degree(u); deg > 0 {
+					if _, err := d.RemoveEdge(u, d.Neighbors(u)[rng.Intn(deg)].To); err != nil {
+						t.Fatal(err)
+					}
+					check(step, "edge remove")
+				}
+			}
+			r, err := RestoreDynamic(d.ExportState())
+			if err != nil {
+				t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
+			}
+			if got, want := r.MaxDegree(), bruteMaxDegree(r); got != want || got != d.MaxDegree() {
+				t.Fatalf("seed %d step %d: restored MaxDegree %d, scan %d, live %d", seed, step, got, want, d.MaxDegree())
+			}
+		}
+	}
+}
