@@ -545,6 +545,20 @@ func BenchmarkEngineChurn(b *testing.B) {
 // set drains. It samples metrics every round, lbserve's default.
 func quiescedEngineBench(b *testing.B, rows, cols int, gate discretelb.EngineGateMode) *discretelb.Engine {
 	b.Helper()
+	eng := tokenTorusEngine(b, rows, cols, gate)
+	b.Cleanup(eng.Close)
+	for r := 0; r < 4; r++ {
+		if err := eng.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return eng
+}
+
+// tokenTorusEngine builds an engine on a rows×cols torus with 8 unit
+// tokens per node, so the state starts bitwise quiescent.
+func tokenTorusEngine(b *testing.B, rows, cols int, gate discretelb.EngineGateMode) *discretelb.Engine {
+	b.Helper()
 	g, err := discretelb.NewTorus(rows, cols)
 	if err != nil {
 		b.Fatal(err)
@@ -563,12 +577,6 @@ func quiescedEngineBench(b *testing.B, rows, cols int, gate discretelb.EngineGat
 	})
 	if err != nil {
 		b.Fatal(err)
-	}
-	b.Cleanup(eng.Close)
-	for r := 0; r < 4; r++ {
-		if err := eng.Step(); err != nil {
-			b.Fatal(err)
-		}
 	}
 	return eng
 }
@@ -625,6 +633,31 @@ func BenchmarkEngineStepMillion(b *testing.B) {
 		stepQuiesced(b, eng)
 	}
 }
+
+// BenchmarkEngineSetupMillion measures what a million-node run pays before
+// its first round, on the 1000×1000 torus of BenchmarkEngineStepMillion:
+// build is graph.Torus, then NewTokens (8 tokens per node), then
+// engine.New; hash is the StateHash fingerprint of the result, the same
+// encoding a WAL snapshot writes.
+func BenchmarkEngineSetupMillion(b *testing.B) {
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			tokenTorusEngine(b, 1000, 1000, discretelb.EngineGateOn).Close()
+		}
+	})
+	b.Run("hash", func(b *testing.B) {
+		eng := tokenTorusEngine(b, 1000, 1000, discretelb.EngineGateOn)
+		defer eng.Close()
+		b.ReportAllocs()
+		for b.Loop() {
+			stateHashSink = eng.StateHash()
+		}
+	})
+}
+
+// stateHashSink keeps the compiler from discarding a benchmarked StateHash.
+var stateHashSink [32]byte
 
 func BenchmarkRoundDownRound(b *testing.B) {
 	g, s, x0 := benchGraphAndLoad(b)

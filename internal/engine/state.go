@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 
 	"repro/internal/continuous"
@@ -57,50 +58,55 @@ const (
 )
 
 // EncodeState serializes the engine's complete behavioural state into the
-// canonical byte form WriteSnapshot persists and StateHash hashes.
+// canonical byte form WriteSnapshot persists and StateHash hashes. It reads
+// the live topology directly and appends into one buffer of encodedSize
+// bytes, so a typical state costs a single allocation.
 func (e *Engine) EncodeState() []byte {
-	gs := e.topo.ExportState()
-	b := append([]byte(stateMagic), stateVer)
+	t := e.topo
+	nSlots, eSlots := t.NodeSlots(), t.EdgeSlots()
+	b := make([]byte, 0, e.encodedSize())
+	b = append(b, stateMagic...)
+	b = append(b, stateVer)
 
-	// Graph section.
-	b = binary.AppendUvarint(b, uint64(len(gs.Active)))
-	for _, a := range gs.Active {
-		if a {
+	// Graph section: the graph.DynamicState fields in order.
+	b = binary.AppendUvarint(b, uint64(nSlots))
+	for i := 0; i < nSlots; i++ {
+		if t.Active(i) {
 			b = append(b, 1)
 		} else {
 			b = append(b, 0)
 		}
 	}
-	for _, ids := range gs.Adj {
-		b = binary.AppendUvarint(b, uint64(len(ids)))
-		for _, id := range ids {
-			b = binary.AppendVarint(b, int64(id))
+	for i := 0; i < nSlots; i++ {
+		arcs := t.Neighbors(i)
+		b = binary.AppendUvarint(b, uint64(len(arcs)))
+		for _, a := range arcs {
+			b = binary.AppendVarint(b, int64(a.Edge))
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(gs.Ends)))
-	for _, ends := range gs.Ends {
-		b = binary.AppendVarint(b, int64(ends[0])+1)
-		b = binary.AppendVarint(b, int64(ends[1])+1)
+	b = binary.AppendUvarint(b, uint64(eSlots))
+	for id := 0; id < eSlots; id++ {
+		u, v := t.EdgeEndpoints(id)
+		b = binary.AppendVarint(b, int64(u)+1)
+		b = binary.AppendVarint(b, int64(v)+1)
 	}
-	b = binary.AppendUvarint(b, uint64(len(gs.FreeN)))
-	for _, s := range gs.FreeN {
-		b = binary.AppendVarint(b, int64(s))
-	}
-	b = binary.AppendUvarint(b, uint64(len(gs.FreeE)))
-	for _, s := range gs.FreeE {
-		b = binary.AppendVarint(b, int64(s))
+	for _, free := range [2][]int{t.FreeNodes(), t.FreeEdges()} {
+		b = binary.AppendUvarint(b, uint64(len(free)))
+		for _, s := range free {
+			b = binary.AppendVarint(b, int64(s))
+		}
 	}
 
 	// Scalar section.
-	for _, v := range []int64{e.wmax, e.round, e.expectedReal, e.retiredDummies,
+	for _, v := range [...]int64{e.wmax, e.round, e.expectedReal, e.retiredDummies,
 		e.eventsApplied, e.ledReal, e.ledTotal, e.ledCreated, e.speedSum} {
 		b = binary.AppendVarint(b, v)
 	}
 
 	// Per-node section (active slots only; inactive slots are canonical
 	// zero: x already zeroed on leave, stale s never read again).
-	for i, a := range gs.Active {
-		if !a {
+	for i := 0; i < nSlots; i++ {
+		if !t.Active(i) {
 			continue
 		}
 		st := e.st[i]
@@ -120,8 +126,8 @@ func (e *Engine) EncodeState() []byte {
 
 	// Per-edge section (live slots only; freed slots are zeroed by
 	// clearEdge, so they are canonical zero on both sides).
-	for id, ends := range gs.Ends {
-		if ends[0] < 0 {
+	for id := 0; id < eSlots; id++ {
+		if u, _ := t.EdgeEndpoints(id); u < 0 {
 			continue
 		}
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.alpha[id]))
@@ -129,6 +135,47 @@ func (e *Engine) EncodeState() []byte {
 		b = binary.AppendVarint(b, e.fD[id])
 	}
 	return b
+}
+
+// encodedSize bounds len(EncodeState()) from above by measuring what it
+// encodes: ids are charged the width of their slot count, adjacency
+// lengths that of the maximum degree, and each task word that of the
+// heaviest weight, wmax; the per-node and per-edge varints are measured.
+// So the bound grows with the number of tasks, never with their weight.
+// It only sizes the buffer: the bytes never depend on it, since append
+// grows a buffer it outruns.
+func (e *Engine) encodedSize() int {
+	t := e.topo
+	nSlots, eSlots := t.NodeSlots(), t.EdgeSlots()
+	nodeLen, edgeLen := varintLen(int64(nSlots)), varintLen(int64(eSlots))
+	size := len(stateMagic) + 1 + 14*binary.MaxVarintLen64 // 5 counts, 9 scalars
+	size += nSlots*(1+uvarintLen(uint64(t.MaxDegree()))) + 2*t.NumEdges()*edgeLen + 2*eSlots*nodeLen
+	size += len(t.FreeNodes())*nodeLen + len(t.FreeEdges())*edgeLen
+	taskLen := uvarintLen(uint64(e.wmax)<<1 | 1)
+	for i := 0; i < nSlots; i++ {
+		if t.Active(i) {
+			n := len(e.st[i].Tasks())
+			size += varintLen(e.s[i]) + 8 + varintLen(e.st[i].Dummies()) + uvarintLen(uint64(n)) + n*taskLen
+		}
+	}
+	for id := 0; id < eSlots; id++ {
+		if u, _ := t.EdgeEndpoints(id); u >= 0 {
+			size += 16 + varintLen(e.fD[id])
+		}
+	}
+	return size
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of binary.AppendVarint's encoding of x.
+func varintLen(x int64) int {
+	ux := uint64(x) << 1
+	if x < 0 {
+		ux = ^ux
+	}
+	return uvarintLen(ux)
 }
 
 // StateHash returns the SHA-256 of the canonical state encoding — the

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -118,6 +121,149 @@ func TestEncodeStateRoundTrip(t *testing.T) {
 	}
 	if err := r.AuditFull(); err != nil {
 		t.Fatalf("restored engine fails conservation: %v", err)
+	}
+}
+
+// exportEncodeState is the encoder EncodeState replaced, which went through
+// graph.Dynamic.ExportState and grew its buffer by doubling; it is the
+// reference the direct encoder must match byte for byte.
+func exportEncodeState(e *Engine) []byte {
+	gs := e.topo.ExportState()
+	b := append([]byte(stateMagic), stateVer)
+	b = binary.AppendUvarint(b, uint64(len(gs.Active)))
+	for _, a := range gs.Active {
+		if a {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	for _, ids := range gs.Adj {
+		b = binary.AppendUvarint(b, uint64(len(ids)))
+		for _, id := range ids {
+			b = binary.AppendVarint(b, int64(id))
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(gs.Ends)))
+	for _, ends := range gs.Ends {
+		b = binary.AppendVarint(b, int64(ends[0])+1)
+		b = binary.AppendVarint(b, int64(ends[1])+1)
+	}
+	b = binary.AppendUvarint(b, uint64(len(gs.FreeN)))
+	for _, s := range gs.FreeN {
+		b = binary.AppendVarint(b, int64(s))
+	}
+	b = binary.AppendUvarint(b, uint64(len(gs.FreeE)))
+	for _, s := range gs.FreeE {
+		b = binary.AppendVarint(b, int64(s))
+	}
+	for _, v := range []int64{e.wmax, e.round, e.expectedReal, e.retiredDummies,
+		e.eventsApplied, e.ledReal, e.ledTotal, e.ledCreated, e.speedSum} {
+		b = binary.AppendVarint(b, v)
+	}
+	for i, a := range gs.Active {
+		if !a {
+			continue
+		}
+		st := e.st[i]
+		b = binary.AppendVarint(b, e.s[i])
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.x[i]))
+		b = binary.AppendVarint(b, st.Dummies())
+		tasks := st.Tasks()
+		b = binary.AppendUvarint(b, uint64(len(tasks)))
+		for _, q := range tasks {
+			u := uint64(q.Weight) << 1
+			if q.Dummy {
+				u |= 1
+			}
+			b = binary.AppendUvarint(b, u)
+		}
+	}
+	for id, ends := range gs.Ends {
+		if ends[0] < 0 {
+			continue
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.alpha[id]))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.fA[id]))
+		b = binary.AppendVarint(b, e.fD[id])
+	}
+	return b
+}
+
+// checkEncodeState asserts that EncodeState matches the reference encoder
+// byte for byte, stays within encodedSize and allocates exactly once.
+func checkEncodeState(t *testing.T, e *Engine, where string) {
+	t.Helper()
+	got := e.EncodeState()
+	if want := exportEncodeState(e); !bytes.Equal(got, want) {
+		t.Fatalf("%s: EncodeState differs from the reference encoding (%d vs %d bytes)", where, len(got), len(want))
+	}
+	if size := e.encodedSize(); len(got) > size {
+		t.Fatalf("%s: encoding is %d bytes, over its bound %d", where, len(got), size)
+	}
+	if n := testing.AllocsPerRun(2, func() { _ = e.EncodeState() }); n != 1 {
+		t.Fatalf("%s: EncodeState made %v allocations, want 1", where, n)
+	}
+}
+
+// TestEncodeStateSizedOnce checks the direct encoder against the reference
+// on states with tombstones, recycled slots, dummies and mixed weights (a
+// churned engine), and with multi-byte lengths and flow accumulators (a
+// point mass spreading over a torus).
+func TestEncodeStateSizedOnce(t *testing.T) {
+	e := churnedEngine(t, 0, 2)
+	scn := scenarioFor(t, 16)
+	for round := 0; round < 40; round++ {
+		checkEncodeState(t, e, fmt.Sprintf("churn round %d", round))
+		scheduleScenario(t, scn, 3, e)
+		if err := e.Step(); err != nil {
+			t.Fatalf("churn round %d: %v", round, err)
+		}
+	}
+
+	g, err := graph.Torus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make(load.Vector, g.N())
+	x[0] = 5000
+	tasks, err := load.NewTokens(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mustEngine(t, Config{Graph: g, Speeds: load.UniformSpeeds(g.N()), Tasks: tasks, Workers: 1})
+	for round := 0; round < 30; round++ {
+		checkEncodeState(t, p, fmt.Sprintf("point mass round %d", round))
+		if err := p.Step(); err != nil {
+			t.Fatalf("point mass round %d: %v", round, err)
+		}
+	}
+
+	// Heavy tasks: the bound follows the number of tasks, not their
+	// weight, so it stays small and never overflows; there are enough of
+	// them that a bound charging each task word one byte falls short.
+	for i := range x {
+		x[i] = 2
+	}
+	if tasks, err = load.NewTokens(x); err != nil {
+		t.Fatal(err)
+	}
+	h := mustEngine(t, Config{Graph: g, Speeds: load.UniformSpeeds(g.N()), Tasks: tasks, Workers: 1})
+	heavy := make([]load.Task, 64)
+	for i := range heavy {
+		heavy[i] = load.Task{Weight: 1<<40 + int64(i)}
+	}
+	if err := h.Schedule(ArrivalTasks(0, 5, heavy)); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 10; round++ {
+		if err := h.Step(); err != nil {
+			t.Fatalf("heavy task round %d: %v", round, err)
+		}
+		if size := h.encodedSize(); size > 1<<12 {
+			t.Fatalf("heavy task round %d: size bound %d bytes for a 16-node state", round, size)
+		}
+		checkEncodeState(t, h, fmt.Sprintf("heavy task round %d", round))
 	}
 }
 

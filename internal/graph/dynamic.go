@@ -40,25 +40,20 @@ var ErrInactiveNode = errors.New("graph: inactive node")
 var ErrNoEdge = errors.New("graph: no such edge")
 
 // NewDynamic copies g into a mutable graph. Node and edge identifiers of g
-// carry over unchanged.
+// carry over unchanged. The adjacency lists are cut from one slab, each
+// capped to its node, so a later AddEdge reallocates only the list it grows.
 func NewDynamic(g *Graph) *Dynamic {
 	d := &Dynamic{
-		active: make([]bool, g.N()),
-		adj:    make([][]Arc, g.N()),
-		ends:   make([][2]int, g.M()),
-		deg:    make([]int, g.N()),
-		n:      g.N(),
+		active: make([]bool, g.n),
+		adj:    carveArcs(append([]Arc(nil), g.arcs...), g.deg),
+		ends:   append([][2]int(nil), g.edges...),
+		deg:    append([]int(nil), g.deg...),
+		n:      g.n,
 		m:      g.M(),
 	}
-	for i := 0; i < g.N(); i++ {
+	for i, k := range d.deg {
 		d.active[i] = true
-		d.adj[i] = append([]Arc(nil), g.Neighbors(i)...)
-		d.deg[i] = g.Degree(i)
-		d.degAdd(d.deg[i])
-	}
-	for e := 0; e < g.M(); e++ {
-		u, v := g.EdgeEndpoints(e)
-		d.ends[e] = [2]int{u, v}
+		d.degAdd(k)
 	}
 	return d
 }
@@ -83,7 +78,9 @@ func (d *Dynamic) Active(i int) bool { return i >= 0 && i < len(d.active) && d.a
 func (d *Dynamic) Degree(i int) int { return d.deg[i] }
 
 // Neighbors returns the adjacency list of node i. The slice is owned by
-// the graph and is invalidated by mutations around i.
+// the graph and is invalidated by mutations around i. Its capacity is
+// capped to node i's own range, so an append to it never overwrites
+// another node's list.
 func (d *Dynamic) Neighbors(i int) []Arc { return d.adj[i] }
 
 // EdgeEndpoints returns the endpoints (u, v) of edge slot e with u < v, or
@@ -94,6 +91,15 @@ func (d *Dynamic) EdgeEndpoints(e int) (u, v int) {
 	}
 	return d.ends[e][0], d.ends[e][1]
 }
+
+// FreeNodes returns the freed node slots in LIFO order (the last entry is
+// recycled first). The slice is owned by the graph and must not be
+// modified.
+func (d *Dynamic) FreeNodes() []int { return d.freeN }
+
+// FreeEdges returns the freed edge slots in LIFO order. The slice is owned
+// by the graph and must not be modified.
+func (d *Dynamic) FreeEdges() []int { return d.freeE }
 
 // MaxDegree returns the maximum degree over active nodes in O(1).
 func (d *Dynamic) MaxDegree() int { return d.maxDeg }

@@ -47,17 +47,24 @@ func (d *Dynamic) ExportState() DynamicState {
 // RestoreDynamic rebuilds a Dynamic from an exported state, validating the
 // internal invariants (endpoint consistency, degree counts, free lists
 // matching tombstones) so a corrupt or hand-built state fails here instead
-// of corrupting a later mutation.
+// of corrupting a later mutation. As in NewDynamic, the adjacency lists
+// are cut from one slab, each capped to its node.
 func RestoreDynamic(st DynamicState) (*Dynamic, error) {
 	nSlots, eSlots := len(st.Active), len(st.Ends)
 	if len(st.Adj) != nSlots {
 		return nil, fmt.Errorf("graph: adjacency lists %d != node slots %d", len(st.Adj), nSlots)
 	}
+	deg := make([]int, nSlots)
+	total := 0
+	for i, ids := range st.Adj {
+		deg[i] = len(ids)
+		total += len(ids)
+	}
 	d := &Dynamic{
 		active: append([]bool(nil), st.Active...),
-		adj:    make([][]Arc, nSlots),
+		adj:    carveArcs(make([]Arc, total), deg),
 		ends:   append([][2]int(nil), st.Ends...),
-		deg:    make([]int, nSlots),
+		deg:    deg,
 		freeN:  append([]int(nil), st.FreeN...),
 		freeE:  append([]int(nil), st.FreeE...),
 	}
@@ -79,7 +86,7 @@ func RestoreDynamic(st DynamicState) (*Dynamic, error) {
 		if len(ids) > 0 && !st.Active[i] {
 			return nil, fmt.Errorf("graph: inactive node slot %d has %d arcs", i, len(ids))
 		}
-		arcs := make([]Arc, len(ids))
+		arcs := d.adj[i] // len(ids), filled in place
 		for k, e := range ids {
 			if e < 0 || e >= eSlots {
 				return nil, fmt.Errorf("graph: node %d lists edge slot %d out of range", i, e)
@@ -95,8 +102,6 @@ func RestoreDynamic(st DynamicState) (*Dynamic, error) {
 			}
 			edgeSeen[e]++
 		}
-		d.adj[i] = arcs
-		d.deg[i] = len(arcs)
 	}
 	for i, a := range st.Active {
 		if a {

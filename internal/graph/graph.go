@@ -32,7 +32,8 @@ type Arc struct {
 type Graph struct {
 	n     int
 	edges [][2]int
-	adj   [][]Arc
+	arcs  []Arc   // every adjacency list, in node order
+	adj   [][]Arc // adj[i] is node i's range of arcs
 	deg   []int
 }
 
@@ -49,42 +50,103 @@ var (
 
 // New builds a graph with n nodes and the given undirected edges. Edges may
 // be listed in either endpoint order; they are normalized so that
-// U(e) < V(e). Self loops and duplicate edges are rejected.
+// U(e) < V(e). Self loops and duplicate edges are rejected; the error names
+// the first offending edge in input order.
+//
+// New runs in O(n+m) with no hashing and a constant number of allocations:
+// one pass validates the edges and counts degrees, a second places every
+// arc in one slab through per-node cursors, in input order (edge e is the
+// e-th input edge, and every list is in increasing edge order), and the
+// slab is cut into the per-node lists. A stamp array then finds duplicates
+// as a repeated neighbour in one list.
 func New(n int, edges [][2]int) (*Graph, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
 	}
 	g := &Graph{
 		n:     n,
-		edges: make([][2]int, 0, len(edges)),
-		adj:   make([][]Arc, n),
+		edges: make([][2]int, len(edges)),
 		deg:   make([]int, n),
 	}
+	for k, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || u >= n || v < 0 || v >= n || u == v {
+			return nil, firstEdgeError(n, edges[:k+1])
+		}
+		if u > v {
+			u, v = v, u
+		}
+		g.edges[k] = [2]int{u, v}
+		g.deg[u]++
+		g.deg[v]++
+	}
+	// next[i] is where node i's next arc goes in the slab.
+	next := make([]int, n)
+	off := 0
+	for i, k := range g.deg {
+		next[i] = off
+		off += k
+	}
+	g.arcs = make([]Arc, off)
+	for k, e := range g.edges {
+		u, v := e[0], e[1]
+		g.arcs[next[u]] = Arc{To: v, Edge: k, Out: +1}
+		next[u]++
+		g.arcs[next[v]] = Arc{To: u, Edge: k, Out: -1}
+		next[v]++
+	}
+	g.adj = carveArcs(g.arcs, g.deg)
+	// The cursors are spent; reuse them as stamps: stamp[j] == i+1 once j
+	// has been seen in node i's list.
+	stamp := next
+	clear(stamp)
+	for i, arcs := range g.adj {
+		for _, a := range arcs {
+			if stamp[a.To] == i+1 {
+				return nil, firstEdgeError(n, edges)
+			}
+			stamp[a.To] = i + 1
+		}
+	}
+	return g, nil
+}
+
+// firstEdgeError returns the error for the first invalid edge in input
+// order, or nil when every edge is valid. New calls it only once it knows
+// the input is invalid, so the map costs nothing on the success path.
+func firstEdgeError(n int, edges [][2]int) error {
 	seen := make(map[[2]int]struct{}, len(edges))
 	for _, e := range edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= n || v < 0 || v >= n {
-			return nil, fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrNodeRange, u, v, n)
+			return fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrNodeRange, u, v, n)
 		}
 		if u == v {
-			return nil, fmt.Errorf("%w: (%d,%d)", ErrSelfLoop, u, v)
+			return fmt.Errorf("%w: (%d,%d)", ErrSelfLoop, u, v)
 		}
 		if u > v {
 			u, v = v, u
 		}
 		key := [2]int{u, v}
 		if _, dup := seen[key]; dup {
-			return nil, fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, u, v)
+			return fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, u, v)
 		}
 		seen[key] = struct{}{}
-		idx := len(g.edges)
-		g.edges = append(g.edges, key)
-		g.adj[u] = append(g.adj[u], Arc{To: v, Edge: idx, Out: +1})
-		g.adj[v] = append(g.adj[v], Arc{To: u, Edge: idx, Out: -1})
-		g.deg[u]++
-		g.deg[v]++
 	}
-	return g, nil
+	return nil
+}
+
+// carveArcs cuts slab into consecutive adjacency lists, list i of length
+// deg[i]. Each list's capacity ends at its own range, so appending past it
+// reallocates that list alone and never writes into the next node's arcs.
+func carveArcs(slab []Arc, deg []int) [][]Arc {
+	adj := make([][]Arc, len(deg))
+	off := 0
+	for i, k := range deg {
+		adj[i] = slab[off : off+k : off+k]
+		off += k
+	}
+	return adj
 }
 
 // MustNew is New for statically known-valid inputs; it panics on error and
@@ -139,7 +201,9 @@ func (g *Graph) Degrees() []int {
 }
 
 // Neighbors returns the adjacency list of node i. The returned slice is
-// owned by the graph and must not be modified.
+// owned by the graph and must not be modified. Its capacity is capped to
+// node i's own arcs, so an append to it reallocates instead of overwriting
+// node i+1's list.
 func (g *Graph) Neighbors(i int) []Arc { return g.adj[i] }
 
 // EdgeEndpoints returns the endpoints (u, v) of edge e with u < v.

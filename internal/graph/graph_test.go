@@ -2,8 +2,250 @@ package graph
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
+
+// referenceNew is the map-based builder New replaced, kept as the
+// reference the CSR builder must match: same errors, and on valid input the
+// same edge numbering and the same arcs in the same order.
+func referenceNew(n int, edges [][2]int) (*Graph, error) {
+	if n <= 0 {
+		return nil, ErrEmptyGraph
+	}
+	g := &Graph{
+		n:     n,
+		edges: make([][2]int, 0, len(edges)),
+		adj:   make([][]Arc, n),
+		deg:   make([]int, n),
+	}
+	seen := make(map[[2]int]struct{}, len(edges))
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return nil, fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrNodeRange, u, v, n)
+		}
+		if u == v {
+			return nil, fmt.Errorf("%w: (%d,%d)", ErrSelfLoop, u, v)
+		}
+		if u > v {
+			u, v = v, u
+		}
+		key := [2]int{u, v}
+		if _, dup := seen[key]; dup {
+			return nil, fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, u, v)
+		}
+		seen[key] = struct{}{}
+		idx := len(g.edges)
+		g.edges = append(g.edges, key)
+		g.adj[u] = append(g.adj[u], Arc{To: v, Edge: idx, Out: +1})
+		g.adj[v] = append(g.adj[v], Arc{To: u, Edge: idx, Out: -1})
+		g.deg[u]++
+		g.deg[v]++
+	}
+	return g, nil
+}
+
+// checkNewMatchesReference builds the input with New and referenceNew and
+// fails unless both return the same error text, or both return graphs with
+// identical N, M, Edges, degrees and adjacency lists, arc for arc.
+func checkNewMatchesReference(t *testing.T, n int, edges [][2]int) {
+	t.Helper()
+	got, gotErr := New(n, edges)
+	want, wantErr := referenceNew(n, edges)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("New(%d, %v): error %v, reference error %v", n, edges, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("New(%d, %v): error %q, reference %q", n, edges, gotErr, wantErr)
+		}
+		return
+	}
+	if got.N() != want.N() || got.M() != want.M() {
+		t.Fatalf("New(%d, ...): N, M = %d, %d, reference %d, %d", n, got.N(), got.M(), want.N(), want.M())
+	}
+	if !slices.Equal(got.Edges(), want.Edges()) {
+		t.Fatalf("New(%d, %v): Edges %v, reference %v", n, edges, got.Edges(), want.Edges())
+	}
+	for i := 0; i < n; i++ {
+		if got.Degree(i) != want.Degree(i) {
+			t.Fatalf("node %d: degree %d, reference %d", i, got.Degree(i), want.Degree(i))
+		}
+		if g, w := got.Neighbors(i), want.Neighbors(i); !slices.Equal(g, w) {
+			t.Fatalf("node %d: arcs %v, reference %v", i, g, w)
+		}
+	}
+}
+
+func TestNewMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(20)
+		var edges [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Intn(3) == 0 {
+					edges = append(edges, [2]int{u, v})
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for k := range edges {
+			if rng.Intn(2) == 0 {
+				edges[k] = [2]int{edges[k][1], edges[k][0]}
+			}
+		}
+		checkNewMatchesReference(t, n, edges)
+		if len(edges) == 0 {
+			continue
+		}
+		// One corruption at a random position: whichever offending edge
+		// comes first in input order must be the one reported.
+		bad := append([][2]int(nil), edges...)
+		k := rng.Intn(len(bad))
+		switch rng.Intn(3) {
+		case 0:
+			bad[k] = edges[rng.Intn(len(edges))]
+		case 1:
+			bad[k] = [2]int{bad[k][0], bad[k][0]}
+		case 2:
+			bad[k] = [2]int{bad[k][0], n + rng.Intn(3)}
+		}
+		checkNewMatchesReference(t, n, bad)
+	}
+	for _, tc := range [][2]int{{1, 0}, {0, 0}, {-1, 0}} {
+		checkNewMatchesReference(t, tc[0], nil)
+	}
+}
+
+// TestNeighborsCapacityIsolated appends to every node's adjacency list and
+// checks that no other node's list changed: each list is capped to its own
+// range of the shared slab.
+func TestNeighborsCapacityIsolated(t *testing.T) {
+	g, err := Torus(4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]Arc, g.N())
+	for i := range before {
+		before[i] = append([]Arc(nil), g.Neighbors(i)...)
+	}
+	for i := 0; i < g.N(); i++ {
+		_ = append(g.Neighbors(i), Arc{To: -1, Edge: -1})
+	}
+	for i := range before {
+		if !slices.Equal(g.Neighbors(i), before[i]) {
+			t.Fatalf("node %d: arcs %v after appends to other lists, want %v", i, g.Neighbors(i), before[i])
+		}
+	}
+}
+
+// arcModel mirrors a Dynamic's adjacency in separately allocated lists,
+// applying the documented semantics of each mutation: AddEdge appends to
+// both lists, edge removal keeps the remaining arcs in order.
+type arcModel [][]Arc
+
+func (m arcModel) addEdge(u, v, e int) {
+	if u > v {
+		u, v = v, u
+	}
+	m[u] = append(m[u], Arc{To: v, Edge: e, Out: +1})
+	m[v] = append(m[v], Arc{To: u, Edge: e, Out: -1})
+}
+
+func (m arcModel) dropEdge(i, e int) {
+	out := m[i][:0:0]
+	for _, a := range m[i] {
+		if a.Edge != e {
+			out = append(out, a)
+		}
+	}
+	m[i] = out
+}
+
+// TestDynamicCapacityIsolated runs AddEdge, RemoveEdge, RemoveNode and
+// AddNode around one node of a slab-carved Dynamic, built by NewDynamic
+// and by RestoreDynamic, and checks after every step that every node's
+// list equals a model that started as a deep copy: nodes the mutations do
+// not touch keep exactly their original arcs, so no append or in-place
+// shift crossed into a neighbouring node's range.
+func TestDynamicCapacityIsolated(t *testing.T) {
+	g, err := Torus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := map[string]func() (*Dynamic, error){
+		"NewDynamic": func() (*Dynamic, error) { return NewDynamic(g), nil },
+		"RestoreDynamic": func() (*Dynamic, error) {
+			return RestoreDynamic(NewDynamic(g).ExportState())
+		},
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			d, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := make(arcModel, d.NodeSlots())
+			for i := range model {
+				model[i] = append([]Arc(nil), d.Neighbors(i)...)
+			}
+			check := func(step string) {
+				t.Helper()
+				for i := range model {
+					if got := d.Neighbors(i); !slices.Equal(got, model[i]) {
+						t.Fatalf("after %s: node %d arcs %v, want %v", step, i, got, model[i])
+					}
+				}
+			}
+			const c = 5 // neighbours 1, 4, 6, 9 on the 4x4 torus
+			addEdge := func(u, v int) {
+				t.Helper()
+				e, err := d.AddEdge(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				model.addEdge(u, v, e)
+				check(fmt.Sprintf("AddEdge(%d,%d)", u, v))
+			}
+			removeEdge := func(u, v int) {
+				t.Helper()
+				e, err := d.RemoveEdge(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				model.dropEdge(u, e)
+				model.dropEdge(v, e)
+				check(fmt.Sprintf("RemoveEdge(%d,%d)", u, v))
+			}
+			addEdge(c, 0)    // c's list is full: the append must reallocate
+			removeEdge(c, 6) // shift inside c's list and inside 6's range
+			addEdge(c, 10)   // append into c's spare capacity
+			removeEdge(4, 5) // shift inside 4's range, next to c's
+			addEdge(6, 8)    // 6 has spare capacity after the removal above
+			removed, err := d.RemoveNode(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range removed {
+				for i := range model {
+					model.dropEdge(i, e)
+				}
+			}
+			check(fmt.Sprintf("RemoveNode(%d)", c))
+			if got := d.AddNode(); got != c {
+				t.Fatalf("AddNode recycled slot %d, want %d", got, c)
+			}
+			check("AddNode")
+			for _, v := range []int{1, 4, 6, 9, 13} {
+				addEdge(c, v)
+			}
+		})
+	}
+}
 
 func TestNewValidGraph(t *testing.T) {
 	g, err := New(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})

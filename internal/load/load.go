@@ -104,17 +104,26 @@ func (x Vector) HasNegative() bool {
 // TaskDist is a distribution of whole tasks over nodes.
 type TaskDist [][]Task
 
-// NewTokens builds a TaskDist of unit-weight tasks from token counts.
+// NewTokens builds a TaskDist of unit-weight tasks from token counts. The
+// lists are cut from one slab, each capped to its node, so an append to
+// one list reallocates it instead of overwriting the next node's tasks.
 func NewTokens(counts Vector) (TaskDist, error) {
-	d := make(TaskDist, len(counts))
+	var total int64
 	for i, c := range counts {
 		if c < 0 {
 			return nil, fmt.Errorf("load: node %d has negative token count %d", i, c)
 		}
-		d[i] = make([]Task, c)
-		for k := range d[i] {
-			d[i][k] = Task{Weight: 1}
-		}
+		total += c
+	}
+	slab := make([]Task, total)
+	for k := range slab {
+		slab[k] = Task{Weight: 1}
+	}
+	d := make(TaskDist, len(counts))
+	var off int64
+	for i, c := range counts {
+		d[i] = slab[off : off+c : off+c]
+		off += c
 	}
 	return d, nil
 }

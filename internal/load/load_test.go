@@ -2,6 +2,7 @@ package load
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -80,6 +81,25 @@ func TestNewTokens(t *testing.T) {
 	if _, err := NewTokens(Vector{-1}); err != nil {
 	} else {
 		t.Error("negative counts should error")
+	}
+}
+
+// TestNewTokensCapacityIsolated appends to every node's task list and
+// checks that no other list changed: the lists share one slab, each capped
+// to its own range.
+func TestNewTokensCapacityIsolated(t *testing.T) {
+	d, err := NewTokens(Vector{2, 0, 3, 1, 0, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.Clone()
+	for i := range d {
+		_ = append(d[i], Task{Weight: 99, Dummy: true})
+	}
+	for i := range d {
+		if !slices.Equal(d[i], before[i]) {
+			t.Fatalf("node %d: tasks %v after appends to other lists, want %v", i, d[i], before[i])
+		}
 	}
 }
 
