@@ -543,9 +543,9 @@ func BenchmarkEngineChurn(b *testing.B) {
 // identical integer loads) so every edge flow is bitwise zero and the
 // activity gate puts the whole graph to sleep, then steps until the hot
 // set drains. It samples metrics every round, lbserve's default.
-func quiescedEngineBench(b *testing.B, rows, cols int, gate discretelb.EngineGateMode) *discretelb.Engine {
+func quiescedEngineBench(b *testing.B, rows, cols int) *discretelb.Engine {
 	b.Helper()
-	eng := tokenTorusEngine(b, rows, cols, gate)
+	eng := tokenTorusEngine(b, rows, cols)
 	b.Cleanup(eng.Close)
 	for r := 0; r < 4; r++ {
 		if err := eng.Step(); err != nil {
@@ -557,7 +557,7 @@ func quiescedEngineBench(b *testing.B, rows, cols int, gate discretelb.EngineGat
 
 // tokenTorusEngine builds an engine on a rows×cols torus with 8 unit
 // tokens per node, so the state starts bitwise quiescent.
-func tokenTorusEngine(b *testing.B, rows, cols int, gate discretelb.EngineGateMode) *discretelb.Engine {
+func tokenTorusEngine(b *testing.B, rows, cols int) *discretelb.Engine {
 	b.Helper()
 	g, err := discretelb.NewTorus(rows, cols)
 	if err != nil {
@@ -573,7 +573,6 @@ func tokenTorusEngine(b *testing.B, rows, cols int, gate discretelb.EngineGateMo
 	}
 	eng, err := discretelb.NewEngine(discretelb.EngineConfig{
 		Graph: g, Speeds: discretelb.UniformSpeeds(g.N()), Tasks: tasks,
-		Gate: gate,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -600,21 +599,10 @@ func stepQuiesced(b *testing.B, eng *discretelb.Engine) {
 
 // BenchmarkEngineStepQuiesced is the activity-gate headline: a 10k-node
 // torus where only one node's neighbourhood is hot per round (4 edges of
-// 20k, 0.02%). The gated engine runs the round over the hot frontier
-// only; the acceptance target is ≥10× over the Ungated twin below, which
-// measures the identical workload with the full-scan round.
+// 20k, 0.02%). The round sweeps only the bitmap words that hold a hot
+// edge; BenchmarkEngineStep is the fully hot round for comparison.
 func BenchmarkEngineStepQuiesced(b *testing.B) {
-	eng := quiescedEngineBench(b, 100, 100, discretelb.EngineGateOn)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stepQuiesced(b, eng)
-	}
-}
-
-// BenchmarkEngineStepQuiescedUngated is the full-scan baseline for the
-// quiesced workload — same graph, same events, gate forced off.
-func BenchmarkEngineStepQuiescedUngated(b *testing.B) {
-	eng := quiescedEngineBench(b, 100, 100, discretelb.EngineGateOff)
+	eng := quiescedEngineBench(b, 100, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stepQuiesced(b, eng)
@@ -627,7 +615,7 @@ func BenchmarkEngineStepQuiescedUngated(b *testing.B) {
 // round cost O(|hot|) instead of O(n+m), and the discrepancy tracker makes
 // the per-round sample O(changed).
 func BenchmarkEngineStepMillion(b *testing.B) {
-	eng := quiescedEngineBench(b, 1000, 1000, discretelb.EngineGateOn)
+	eng := quiescedEngineBench(b, 1000, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stepQuiesced(b, eng)
@@ -643,11 +631,11 @@ func BenchmarkEngineSetupMillion(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			tokenTorusEngine(b, 1000, 1000, discretelb.EngineGateOn).Close()
+			tokenTorusEngine(b, 1000, 1000).Close()
 		}
 	})
 	b.Run("hash", func(b *testing.B) {
-		eng := tokenTorusEngine(b, 1000, 1000, discretelb.EngineGateOn)
+		eng := tokenTorusEngine(b, 1000, 1000)
 		defer eng.Close()
 		b.ReportAllocs()
 		for b.Loop() {

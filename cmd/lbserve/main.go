@@ -5,7 +5,7 @@
 // Usage:
 //
 //	lbserve -addr :8080 -graph torus:32 [-tokens 8] [-maxspeed 1]
-//	        [-workers 0] [-window 4096] [-rate 50] [-seed 1] [-audit] [-gate]
+//	        [-workers 0] [-window 4096] [-rate 50] [-seed 1] [-audit]
 //	        [-wal-dir DIR] [-snapshot-every 1024] [-wal-sync interval]
 //	        [-wal-sync-interval 100ms] [-wal-segment 67108864] [-wal-retain 2]
 //	        [-ingest-rate 0] [-ingest-burst 8192] [-ingest-pulse constant]
@@ -39,9 +39,8 @@
 // until the next event wakes it; the idle/resume transitions are logged
 // once each. With -audit the engine runs the full conservation recount
 // after every applied event (deep audit) instead of the default O(1)
-// incremental ledger check. With -gate=false every round runs the
-// ungated full scan instead of the default hot-frontier gating (see the
-// README's "Activity gating" section).
+// incremental ledger check. Rounds run over the hot frontier only (see
+// the README's "Activity gating" section).
 //
 // Durability: with -wal-dir the daemon appends every applied event and
 // round boundary to a write-ahead log and writes a full-state snapshot
@@ -112,7 +111,6 @@ func run() error {
 		sample    = flag.Int("sample", 1, "take a metrics sample every N rounds")
 		rate      = flag.Float64("rate", 0, "rounds per second to step automatically (0 = manual /step)")
 		audit     = flag.Bool("audit", false, "deep audit: full conservation recount after every applied event")
-		gateOn    = flag.Bool("gate", true, "activity gating: run rounds over the hot frontier only (false = full scan every round)")
 
 		walDir       = flag.String("wal-dir", "", "write-ahead log directory (empty = no durability); an existing log is recovered on boot")
 		snapEvery    = flag.Int("snapshot-every", 1024, "write a full-state snapshot every N rounds")
@@ -244,9 +242,6 @@ func run() error {
 		FlightWindow:  *traceWindow,
 		Registry:      reg,
 		SnapshotEvery: *snapEvery,
-	}
-	if !*gateOn {
-		cfg.Gate = engine.GateOff
 	}
 	if walWriter != nil {
 		cfg.WAL = walWriter
@@ -441,7 +436,6 @@ func run() error {
 	logger.Info("lbserve: listening",
 		"addr", *addr, "graph", *graphSpec, "nodes", nodes, "edges", edges,
 		"real_total", initialW, "seed", *seed, "rate", *rate, "audit", *audit,
-		"gate", *gateOn,
 		"workers", *workers, "window", *window, "sample", *sample,
 		"ingest_rate", *ingestRate, "trace", *traceWindow, "pprof", *pprofOn,
 		"wal_dir", *walDir)

@@ -103,19 +103,8 @@ type (
 	EngineSnapshot = engine.Snapshot
 	// EngineServer exposes a live Engine over HTTP.
 	EngineServer = engine.Server
-	// EngineGateMode selects the engine's activity-gate posture.
-	EngineGateMode = engine.GateMode
 	// ArrivalBatch is one scheduled batch of online task arrivals.
 	ArrivalBatch = workload.Arrival
-)
-
-// Activity-gate postures for EngineConfig.Gate: EngineGateOn (the default)
-// runs balancing rounds over the hot frontier only, EngineGateOff forces
-// the full scan. Gating is semantics-preserving, so this is purely a
-// performance knob.
-const (
-	EngineGateOn  = engine.GateOn
-	EngineGateOff = engine.GateOff
 )
 
 // Task selection policies for Algorithm 1.

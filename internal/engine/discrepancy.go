@@ -22,11 +22,11 @@ import (
 //     Candidates are compared by exact cross-multiplication (bits.Mul64),
 //     never by float division.
 //
-// Only nodes whose pools may have changed are re-read. A gated round marks
-// its hot-node worklist, an event marks the pools it mutated, and a
-// full-scan round marks every slot (a linear refresh, no per-node tree
-// walk). The refresh runs lazily when a reader asks, so the cost lands in
-// the sample, O(changed) per round.
+// Only nodes whose pools may have changed are re-read. A round marks the
+// endpoints of the edges that carried a batch, an event marks the pools it
+// mutated, and a full re-read (construction, restore) marks every slot (a
+// linear refresh, no per-node tree walk). The refresh runs lazily when a
+// reader asks, so the cost lands in the sample, O(changed) per round.
 //
 // Bit-identity with the float scan it replaces: correctly rounded division
 // is monotone, so float64(r*)/float64(s*) at the exact argmax is the max of

@@ -103,58 +103,57 @@ func rejectedEvent(rng *rand.Rand, e *Engine) Event {
 // TestTrackerMatchesRecount drives the discrepancy tracker through the
 // paths that change its inputs — heterogeneous speeds, weighted arrivals,
 // completions, joins of varied speed, leaves that recycle slots, edge
-// changes, rejected events and mid-run gate toggles — gated and ungated,
-// checking it against the float scan and the exact recount after every
-// Step and after every NewFromState reconstruction.
+// changes, rejected events and mid-run switches between the sweep and the
+// reference round — checking it against the float scan and the exact
+// recount after every Step and after every NewFromState reconstruction,
+// with the engine bit-identical to a twin that runs the reference round.
 func TestTrackerMatchesRecount(t *testing.T) {
-	for _, mode := range []GateMode{GateOn, GateOff} {
-		for _, seed := range []int64{1, 2} {
-			rng := rand.New(rand.NewSource(seed))
-			g, err := graph.Torus(6, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			speeds := make(load.Speeds, g.N())
-			for i := range speeds {
-				speeds[i] = 1 + rng.Int63n(5)
-			}
-			tasks, err := load.NewTokens(workload.UniformRandom(g.N(), 900, rng))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := New(Config{Graph: g, Speeds: speeds, Tasks: tasks, Workers: 3, Gate: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(e.Close)
-			checkTracker(t, e, "new")
-			for step := 0; step < 150; step++ {
-				switch k := rng.Intn(10); {
-				case k < 6:
-					if ev, _, _, ok := randomChurnEvent(rng, e, 4); ok {
-						if err := e.Schedule(ev); err != nil {
-							t.Fatal(err)
-						}
-					}
-				case k == 6:
-					if err := e.Schedule(rejectedEvent(rng, e)); err != nil {
-						t.Fatal(err)
-					}
-				case k == 7:
-					e.WithGate(!e.GateEnabled())
+	for _, seed := range []int64{1, 2, 3, 4} {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := graph.Torus(6, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		speeds := make(load.Speeds, g.N())
+		for i := range speeds {
+			speeds[i] = 1 + rng.Int63n(5)
+		}
+		tasks, err := load.NewTokens(workload.UniformRandom(g.N(), 900, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Graph: g, Speeds: speeds, Tasks: tasks, Workers: 3}
+		e, ref := mustEngine(t, cfg), mustEngine(t, cfg)
+		useReference(ref, true)
+		checkTracker(t, e, "new")
+		reference := false
+		for step := 0; step < 150; step++ {
+			switch k := rng.Intn(10); {
+			case k < 6:
+				if ev, _, _, ok := randomChurnEvent(rng, e, 4); ok {
+					schedule(t, ev, e, ref)
 				}
-				if err := e.Step(); errors.Is(err, ErrInconsistent) {
-					t.Fatalf("mode %d seed %d step %d: %v", mode, seed, step, err)
+			case k == 6:
+				schedule(t, rejectedEvent(rng, e), e, ref)
+			case k == 7:
+				reference = !reference
+				useReference(e, reference)
+			}
+			errE, errR := e.Step(), ref.Step()
+			if errors.Is(errE, ErrInconsistent) || (errE == nil) != (errR == nil) {
+				t.Fatalf("seed %d step %d: %v (reference: %v)", seed, step, errE, errR)
+			}
+			if e.StateHash() != ref.StateHash() {
+				t.Fatalf("seed %d step %d: engine diverged from the reference round", seed, step)
+			}
+			checkTracker(t, e, "step")
+			if step%25 == 24 {
+				r, err := NewFromState(e.EncodeState(), Config{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
 				}
-				checkTracker(t, e, "step")
-				if step%25 == 24 {
-					r, err := NewFromState(e.EncodeState(), Config{Workers: 2, Gate: mode})
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkTracker(t, r, "restored")
-					r.Close()
-				}
+				checkTracker(t, r, "restored")
+				r.Close()
 			}
 		}
 	}

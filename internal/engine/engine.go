@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/continuous"
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/load"
@@ -56,12 +55,6 @@ type Config struct {
 	// SnapshotEvery writes a full-state snapshot to the WAL every that many
 	// rounds; 0 means 1024. Ignored without a WAL.
 	SnapshotEvery int
-	// Gate selects the activity-gate posture: GateOn (the zero value) runs
-	// balancing rounds over the hot frontier only, GateOff forces the full
-	// scan every round. Gating is semantics-preserving — a gated engine is
-	// bit-identical to an ungated one on every event stream — so this is a
-	// performance knob, exposed as lbserve -gate. See GateMode.
-	Gate GateMode
 }
 
 // outMsg is one round's batch on an edge: the receiving node slot and the
@@ -184,12 +177,13 @@ type Engine struct {
 	// round phases hand pool.forEach a preallocated func value instead of
 	// allocating a closure every round (enforced by lblint's hotalloc
 	// gate). roundWmaxF is the decide threshold of the round in flight,
-	// published before the decide phase fans out.
-	roundWmaxF     float64
-	decideFullFn   func(int)
-	deliverFullFn  func(int)
-	decideGatedFn  func(int)
-	deliverGatedFn func(int)
+	// published before the decide phase fans out. roundFn is the round
+	// Step and ReplayStep run: runRound, which tests swap for the dense
+	// reference round they compare it with.
+	roundWmaxF float64
+	decideFn   func(int)
+	deliverFn  func(int)
+	roundFn    func()
 }
 
 // ErrClosed is returned by operations on a closed engine.
@@ -254,7 +248,6 @@ func New(cfg Config) (*Engine, error) {
 		s:           make([]int64, g.N()),
 		x:           make([]float64, g.N()),
 		st:          make([]*dist.SendState, g.N()),
-		alpha:       make([]float64, g.M()),
 		fA:          make([]float64, g.M()),
 		fD:          make([]int64, g.M()),
 		net:         make([]float64, g.M()),
@@ -288,8 +281,8 @@ func New(cfg Config) (*Engine, error) {
 		e.pool.close()
 		return nil, err
 	}
-	copy(e.alpha, alpha)
-	e.initGate(cfg.Gate == GateOn)
+	e.alpha = alpha
+	e.initGate()
 	e.initTracker()
 	if cfg.WAL != nil {
 		if err := e.AttachWAL(cfg.WAL, cfg.SnapshotEvery); err != nil {
@@ -470,7 +463,7 @@ func (e *Engine) Step() error {
 		e.instr.stepSeconds.ObserveDuration(sinceMetric(start))
 		return stepErr
 	}
-	e.runRound()
+	e.roundFn()
 	if e.wal != nil {
 		// The round marker commits this step's event batch (and any prefix
 		// a rejection left uncommitted in an earlier step); it must reach
@@ -516,125 +509,6 @@ func (e *Engine) RunUntilBound(maxRounds int) (int, bool, error) {
 		}
 	}
 	return maxRounds, len(e.queue) == 0 && e.MaxAvg() <= e.Bound(), nil
-}
-
-// runRoundFull executes one synchronous balancing round over the whole
-// current topology: continuous FOS flows and the residual-gap snapshot
-// (serial, O(m)), then sharded per-node send decisions and deliveries,
-// then the continuous load update. It is the ungated path; runRound (in
-// gate.go) dispatches between it and the hot-frontier round.
-//
-//lb:hotpath
-func (e *Engine) runRoundFull() {
-	tFlows := nowMetric()
-	edgeSlots := e.topo.EdgeSlots()
-	// Phase 1: continuous flows, cumulative f^A, and the per-edge residual
-	// snapshot. The snapshot is what makes the decide phase race-free:
-	// only the sending endpoint of an edge writes f^D, and nobody reads it
-	// until the next round.
-	for id := 0; id < edgeSlots; id++ {
-		e.outbox[id].tasks = nil
-		u, v := e.topo.EdgeEndpoints(id)
-		if u < 0 {
-			e.net[id] = 0
-			continue
-		}
-		yuv := e.alpha[id] / float64(e.s[u]) * e.x[u]
-		yvu := e.alpha[id] / float64(e.s[v]) * e.x[v]
-		n := yuv - yvu
-		e.net[id] = n
-		e.fA[id] += n
-		e.gap[id] = e.fA[id] - float64(e.fD[id])
-	}
-	// Phase 2: per-node send decisions, sharded over the worker pool. Each
-	// node touches only its own pool, the f^D of edges it sends on (single
-	// writer), and its own outbox slots.
-	tDecide := nowMetric()
-	nodeSlots := e.topo.NodeSlots()
-	e.roundWmaxF = float64(e.wmax) - core.RoundingEps
-	e.pool.forEach(nodeSlots, e.decideFullFn)
-	// Fold this round's dummy draws into the ledger (serial: forEach is a
-	// completion barrier).
-	if d := e.roundDummies.Swap(0); d != 0 {
-		e.ledTotal += d
-		e.ledCreated += d
-	}
-	// Phase 3: deliveries, sharded by receiver. The outbox is read-only in
-	// this phase (slots are reset at the start of the next round), so both
-	// endpoints may inspect an edge's slot concurrently; only the receiver
-	// appends, and only to its own pool.
-	tDeliver := nowMetric()
-	e.pool.forEach(nodeSlots, e.deliverFullFn)
-	// Phase 4: advance the continuous replica.
-	tUpdate := nowMetric()
-	for id := 0; id < edgeSlots; id++ {
-		if n := e.net[id]; n != 0 {
-			u, v := e.topo.EdgeEndpoints(id)
-			e.x[u] -= n
-			e.x[v] += n
-		}
-	}
-	// Any pool may have changed: the next tracker refresh re-reads them all
-	// in one linear pass.
-	e.trk.dirty.fill()
-	e.round++
-	now := nowMetric()
-	e.instr.stage["round_flows"].ObserveDuration(tDecide.Sub(tFlows))
-	e.instr.stage["round_decide"].ObserveDuration(tDeliver.Sub(tDecide))
-	e.instr.stage["round_deliver"].ObserveDuration(tUpdate.Sub(tDeliver))
-	e.instr.stage["round_update"].ObserveDuration(now.Sub(tUpdate))
-	e.instr.roundsTotal.Inc()
-}
-
-// decideFullNode is runRoundFull's phase-2 body for one node slot: node
-// i's send decisions against this round's residual snapshot. Bound once
-// as e.decideFullFn (initGate) so the fan-out allocates no closure per
-// round.
-//
-//lb:hotpath
-func (e *Engine) decideFullNode(i int) {
-	if !e.topo.Active(i) {
-		return
-	}
-	st := e.st[i]
-	st.BeginRound()
-	dummies0 := st.Dummies()
-	for _, a := range e.topo.Neighbors(i) {
-		g := e.gap[a.Edge]
-		if a.Out < 0 {
-			g = -g
-		}
-		if g < e.roundWmaxF {
-			continue
-		}
-		var batch []load.Task
-		sent := core.Forward(g, e.wmax, st.Take, func(q load.Task) { batch = append(batch, q) })
-		e.fD[a.Edge] += int64(a.Out) * sent
-		e.outbox[a.Edge] = outMsg{to: a.To, tasks: batch}
-	}
-	// Dummy draws are the only way a round changes total pool weight
-	// (task forwards conserve it: every batch written here is consumed by
-	// exactly its receiver in the delivery phase). Nodes that drew none —
-	// the steady path — pay nothing.
-	if d := st.Dummies() - dummies0; d != 0 {
-		e.roundDummies.Add(d)
-	}
-}
-
-// deliverFullNode is runRoundFull's phase-3 body for one node slot:
-// consume the batches addressed to node i. Bound once as e.deliverFullFn.
-//
-//lb:hotpath
-func (e *Engine) deliverFullNode(i int) {
-	if !e.topo.Active(i) {
-		return
-	}
-	for _, a := range e.topo.Neighbors(i) {
-		m := &e.outbox[a.Edge]
-		if m.tasks != nil && m.to == i {
-			e.st[i].AddTasks(m.tasks)
-		}
-	}
 }
 
 // applyEvent dispatches one event. A returned error means the event was
@@ -894,7 +768,7 @@ func (e *Engine) refreshAlphas(nodes []int) {
 		for _, a := range e.topo.Neighbors(i) {
 			u, v := e.topo.EdgeEndpoints(a.Edge)
 			e.alpha[a.Edge] = continuous.EdgeAlpha(e.s[u], e.s[v], e.topo.Degree(u), e.topo.Degree(v))
-			e.gateWakeEdge(a.Edge, u, v)
+			e.gate.edgePending.set(a.Edge)
 		}
 	}
 }

@@ -15,19 +15,11 @@ import (
 // mustEngine builds an engine and registers cleanup. The CI deep-audit leg
 // sets ENGINE_DEEP_AUDIT=1 to force the per-event full recount in every
 // engine the suite builds, keeping the AuditFull path exercised under the
-// whole test matrix; the gate matrix leg sets ENGINE_GATE=on (force the
-// activity gate on in every engine, even ones the test configured off) or
-// ENGINE_GATE=off (force the full-scan round everywhere).
+// whole test matrix.
 func mustEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	if os.Getenv("ENGINE_DEEP_AUDIT") == "1" {
 		cfg.DeepAudit = true
-	}
-	switch os.Getenv("ENGINE_GATE") {
-	case "on":
-		cfg.Gate = GateOn
-	case "off":
-		cfg.Gate = GateOff
 	}
 	e, err := New(cfg)
 	if err != nil {

@@ -30,7 +30,7 @@ type Sample struct {
 	// and metrics included.
 	StepNanos int64 `json:"step_nanos"`
 	// HotNodes and HotEdges are the activity-gate hot-set occupancy of the
-	// round (the full active counts when gating is off).
+	// round.
 	HotNodes int `json:"hot_nodes"`
 	HotEdges int `json:"hot_edges"`
 }

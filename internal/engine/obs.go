@@ -77,9 +77,9 @@ func newInstruments(reg *obs.Registry) *instruments {
 		bound:     reg.Gauge("engine_bound", "Theorem 3 discrepancy bound 2*d*wmax+2 for the current topology."),
 		potential: reg.Gauge("engine_potential", "Quadratic potential of the real load."),
 		hotNodes: reg.Gauge("engine_hot_nodes",
-			"Activity-gate hot-set node occupancy of the last executed round (all active nodes when gating is off)."),
+			"Activity-gate hot-set node occupancy of the last executed round: the endpoints of its hot edges."),
 		hotEdges: reg.Gauge("engine_hot_edges",
-			"Activity-gate hot-set edge occupancy of the last executed round (all active edges when gating is off)."),
+			"Activity-gate hot-set edge occupancy of the last executed round: the edges woken for it."),
 	}
 	for _, stage := range StageNames() {
 		in.stage[stage] = reg.Histogram(MetricStepStageSeconds,
@@ -133,7 +133,7 @@ type TraceRecord struct {
 	Weight int64  `json:"weight,omitempty"`
 
 	// Round-summary fields. HotNodes/HotEdges is the activity-gate hot-set
-	// occupancy of the round (the full active counts when gating is off).
+	// occupancy of the round.
 	Nodes     int     `json:"nodes,omitempty"`
 	Edges     int     `json:"edges,omitempty"`
 	Events    int64   `json:"events,omitempty"`

@@ -59,9 +59,6 @@ func TestStepInstrumentation(t *testing.T) {
 	}
 	for _, stage := range []string{"round_flows", "round_decide", "round_deliver", "round_update", "gate_maintain", "sample"} {
 		want := float64(rounds)
-		if stage == "gate_maintain" && !e.GateEnabled() {
-			want = 0 // ENGINE_GATE=off leg: the full-scan round never observes it
-		}
 		key := MetricStepStageSeconds + `_count{stage="` + stage + `"}`
 		if got := m[key]; got != want {
 			t.Errorf("%s = %v, want %v", key, got, want)

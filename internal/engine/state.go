@@ -442,7 +442,7 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 	// reconstructed, never trusted from disk. Waking the whole graph is the
 	// conservative reconstruction — over-waking is semantics-preserving, so
 	// the restored engine is bit-identical to the one that encoded.
-	e.initGate(cfg.Gate == GateOn)
+	e.initGate()
 
 	if cfg.WAL != nil {
 		if err := e.AttachWAL(cfg.WAL, cfg.SnapshotEvery); err != nil {
@@ -532,7 +532,7 @@ func (e *Engine) ReplayStep(events []wire.Event, mark wal.RoundMark) error {
 			return err
 		}
 	}
-	e.runRound()
+	e.roundFn()
 	if e.round != mark.Round || e.expectedReal != mark.Real || e.ledTotal != mark.Total ||
 		e.ledCreated != mark.Created || e.wmax != mark.Wmax {
 		err := fmt.Errorf("engine: %w: replay diverged at round marker %d: engine round=%d real=%d total=%d created=%d wmax=%d, log real=%d total=%d created=%d wmax=%d",

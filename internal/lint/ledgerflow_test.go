@@ -70,7 +70,7 @@ func TestLedgerFlowUnpolicedPackage(t *testing.T) {
 	for _, d := range diags {
 		byFunc[funcOf(pkg, d)]++
 	}
-	for _, fn := range []string{"addTasksLedgered", "decideFullNode", "applyRebalance"} {
+	for _, fn := range []string{"addTasksLedgered", "decideNode", "applyRebalance"} {
 		if byFunc[fn] == 0 {
 			t.Errorf("guarded use in %s not flagged without a policy entry", fn)
 		}

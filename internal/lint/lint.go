@@ -1,7 +1,7 @@
 // Package lint is the determinism-invariant analyzer suite behind cmd/lblint.
 //
 // Every headline result of this reproduction rests on bit-for-bit identity:
-// dist.Verify, the gated-vs-ungated state-hash suite and WAL recovery all
+// dist.Verify, the sweep-vs-reference state-hash suite and WAL recovery all
 // assert that independent executions of Algorithm 1 produce identical
 // floats. That only holds if no code path in the deterministic packages
 // ever iterates a map in nondeterministic order, reads an ambient clock or

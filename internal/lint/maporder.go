@@ -23,7 +23,7 @@ func (MapOrder) Doc() string {
 func (MapOrder) Explain() string {
 	return `Algorithm 1's headline property is that four executions (centralized,
 channel, net.Conn, engine) produce bit-identical floats; dist.Verify, the
-gated-vs-ungated hash suite and WAL recovery all assert it. Go randomizes
+sweep-vs-reference hash suite and WAL recovery all assert it. Go randomizes
 map iteration order on every execution, so ranging over a map in a
 deterministic package makes any order-sensitive body — float accumulation,
 slice appends, first-writer-wins stores — differ between runs: an unsorted
