@@ -374,9 +374,12 @@ func BenchmarkDistClusterRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer c.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Step()
+		if err := c.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

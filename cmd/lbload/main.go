@@ -5,7 +5,7 @@
 // concurrent client goroutines, and reports throughput, request-latency
 // percentiles (p50/p95/p99), and the driver's memory/GC pressure —
 // with periodic progress lines, a graceful SIGINT drain, and a JSON
-// export whose fields mirror the BENCH_engine.json entry schema.
+// export of the run (see Result).
 //
 // Usage:
 //
@@ -174,9 +174,10 @@ func (cfg *config) validate() error {
 	return nil
 }
 
-// Result is the JSON export of one run. name/scenario/iterations/
-// ns_per_op mirror the BENCH_engine.json entry schema, so a run can be
-// recorded in that file's history directly.
+// Result is the JSON export of one run: what ran (name, scenario,
+// command, host), throughput (iterations is events delivered, ns_per_op
+// wall nanoseconds per event), request latency, driver memory, and the
+// server's final state.
 type Result struct {
 	Name         string  `json:"name"`
 	Scenario     string  `json:"scenario"`

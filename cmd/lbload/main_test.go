@@ -121,7 +121,7 @@ func TestRunLoadScenarios(t *testing.T) {
 }
 
 // TestRunLoadResultJSON pins the export schema: a result must marshal
-// with the BENCH_engine.json field names.
+// with Result's JSON field names.
 func TestRunLoadResultJSON(t *testing.T) {
 	ts, _ := startTarget(t, 6, 4, engine.StreamLimits{})
 	cfg := smokeConfig(ts.URL)

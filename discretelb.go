@@ -64,9 +64,6 @@ type (
 	ContinuousProcess = continuous.Process
 	// ContinuousFactory builds coupled instances of a continuous process.
 	ContinuousFactory = continuous.Factory
-	// Snapshotter is implemented by processes that support gob
-	// checkpoint/restore.
-	Snapshotter = continuous.Snapshotter
 	// Matching is a set of node-disjoint edges.
 	Matching = matching.Matching
 	// MatchingSchedule yields the matching active in each round.

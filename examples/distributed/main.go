@@ -53,9 +53,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cluster.Close()
 	fmt.Printf("%d node goroutines on %s, T = %d rounds\n", g.N(), g, bt)
-	for t := 0; t < bt; t++ {
-		cluster.Step()
+	if err := cluster.Run(bt); err != nil {
+		log.Fatal(err)
 	}
 	maxAvg, err := load.MaxAvgDiscrepancy(cluster.LoadExcludingDummies(), s, x0.Total())
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // RoundingEps absorbs floating-point noise in the residual-flow comparison
 // against wmax, so that exact-arithmetic floor semantics are preserved: with
 // unit tokens Algorithm 1 sends exactly floor(f^A_e(t) − f^D_e(t−1)) tasks.
-// It is exported because the distributed executions (dist, netsim) must use
+// It is exported because the distributed execution (package dist) must use
 // the very same epsilon to make bit-identical send decisions.
 const RoundingEps = 1e-9
 

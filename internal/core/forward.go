@@ -10,10 +10,10 @@ import "repro/internal/load"
 // discrete flow.
 //
 // Every execution of Algorithm 1 in this repository funnels through this
-// function — the centralized FlowImitation, the channel-based cluster in
-// package dist, the wire-based cluster in package netsim, and the online
-// runtime in package engine — which is what keeps their send decisions
-// bit-for-bit identical.
+// function — the centralized FlowImitation, the distributed cluster in
+// package dist (over channel or net.Conn links), and the online runtime in
+// package engine — which is what keeps their send decisions bit-for-bit
+// identical.
 func Forward(gap float64, wmax int64, take func() load.Task, emit func(load.Task)) int64 {
 	w := float64(wmax)
 	var sent int64

@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -121,13 +122,15 @@ func TestClusterMatchesCentralizedRoundByRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Stop()
+	defer c.Close()
 	central, err := core.NewFlowImitation(g, s, tokens, continuous.Factory(maker), core.PolicyLIFO)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 100; round++ {
-		c.Step()
+		if err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
 		central.Step()
 		cl, gl := c.Load(), central.Load()
 		for i := range cl {
@@ -175,8 +178,10 @@ func TestConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Stop()
-	c.Run(50)
+	defer c.Close()
+	if err := c.Run(50); err != nil {
+		t.Fatal(err)
+	}
 	if got := c.Load().Total(); got != total+c.DummiesCreated() {
 		t.Errorf("conservation: %d != %d + %d", got, total, c.DummiesCreated())
 	}
@@ -209,9 +214,11 @@ func TestStressManyRounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.Stop()
+			defer c.Close()
 			for round := 0; round < 300; round++ {
-				c.Step()
+				if err := c.Step(); err != nil {
+					t.Fatal(err)
+				}
 				if got := c.LoadExcludingDummies().Total(); got != total {
 					t.Fatalf("round %d: real load %d != %d", round, got, total)
 				}
@@ -246,6 +253,9 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := dist.NewCluster(g, s, d, nil); err == nil {
 		t.Error("nil maker should error")
 	}
+	if _, err := dist.NewClusterOver(g, s, d, maker, nil); err == nil {
+		t.Error("nil transport should error")
+	}
 	if _, err := dist.NewCluster(g, s[:2], d, maker); err == nil {
 		t.Error("short speeds should error")
 	}
@@ -266,9 +276,9 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
-// TestStopIsIdempotentAndStepPanics: Stop twice is fine; Step afterwards
-// panics rather than deadlocking.
-func TestStopIsIdempotentAndStepPanics(t *testing.T) {
+// TestCloseIsIdempotentAndStepErrors: Close twice is fine, the state stays
+// readable, and Step afterwards returns ErrClosed rather than deadlocking.
+func TestCloseIsIdempotentAndStepErrors(t *testing.T) {
 	g, err := graph.Cycle(4)
 	if err != nil {
 		t.Fatal(err)
@@ -286,18 +296,27 @@ func TestStopIsIdempotentAndStepPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(3)
-	c.Stop()
-	c.Stop()
-	if got := c.Round(); got != 3 {
-		t.Errorf("Round after Stop = %d, want 3", got)
+	if err := c.Run(3); err != nil {
+		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Step after Stop should panic")
-		}
-	}()
-	c.Step()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if got := c.Round(); got != 3 {
+		t.Errorf("Round after Close = %d, want 3", got)
+	}
+	if got := c.Load().Total(); got != 8+c.DummiesCreated() {
+		t.Errorf("Load after Close = %d, want %d", got, 8+c.DummiesCreated())
+	}
+	if err := c.Step(); !errors.Is(err, dist.ErrClosed) {
+		t.Errorf("Step after Close = %v, want ErrClosed", err)
+	}
+	if err := c.Run(1); !errors.Is(err, dist.ErrClosed) {
+		t.Errorf("Run after Close = %v, want ErrClosed", err)
+	}
 }
 
 // TestMakerConvertsToFactory: the documented interchangeability with

@@ -1,6 +1,6 @@
 // Package dist executes the paper's Algorithm 1 (flow imitation) as a
 // message-passing distributed system: one goroutine per node, whole tasks
-// travelling as channel messages between neighbours, and a private replica
+// travelling as messages between neighbours, and a private replica
 // of the continuous process on every node — the paper's footnote 1, which
 // observes that Algorithm 1 is a local algorithm because every node can
 // simulate the (deterministic, or coupled-randomness) continuous process on
@@ -24,7 +24,10 @@
 // float64 operations on the same state, all nodes agree on the continuous
 // flow of every edge in every round without exchanging flow values.
 //
-// Package netsim is the wire-protocol counterpart of this package: same
-// algorithm, but batches travel over net.Conn links as gob frames instead
-// of through channels.
+// The node loop is the same whatever carries the batches. Each edge is a
+// duplex Link made by a Transport: NewCluster links nodes with channels,
+// and NewClusterOver takes any other Transport — package netsim's carry
+// gob frames over net.Conn pipes or loopback TCP. A link error fails the
+// round with an error naming the node and the neighbour, and the cluster
+// stays failed: its task placement is no longer complete.
 package dist

@@ -48,8 +48,10 @@ func ExampleCluster() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cluster.Stop()
-	cluster.Run(bt)
+	defer cluster.Close()
+	if err := cluster.Run(bt); err != nil {
+		log.Fatal(err)
+	}
 
 	maxAvg, err := load.MaxAvgDiscrepancy(cluster.LoadExcludingDummies(), s, x0.Total())
 	if err != nil {

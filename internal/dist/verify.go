@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/continuous"
@@ -16,17 +17,25 @@ import (
 // same pool order, same weights, same dummy flags — and the dummy-token
 // totals must agree.
 func Verify(g *graph.Graph, s load.Speeds, d load.TaskDist, maker ProcessMaker, rounds int) error {
-	c, err := NewCluster(g, s, d, maker)
+	return VerifyOver(g, s, d, maker, chanTransport{}, rounds)
+}
+
+// VerifyOver is Verify for a cluster whose links tr makes. It closes tr,
+// and a close error fails the verification too.
+func VerifyOver(g *graph.Graph, s load.Speeds, d load.TaskDist, maker ProcessMaker, tr Transport, rounds int) (err error) {
+	c, err := NewClusterOver(g, s, d, maker, tr)
 	if err != nil {
 		return err
 	}
-	defer c.Stop()
+	defer func() { err = errors.Join(err, c.Close()) }()
 	central, err := core.NewFlowImitation(g, s, d, continuous.Factory(maker), core.PolicyLIFO)
 	if err != nil {
 		return err
 	}
 	for t := 0; t < rounds; t++ {
-		c.Step()
+		if err := c.Step(); err != nil {
+			return err
+		}
 		central.Step()
 		if err := equalTaskDists(c.Tasks(), central.Tasks()); err != nil {
 			return fmt.Errorf("dist: verify round %d: %w", t, err)

@@ -72,12 +72,6 @@ func DefaultLedgerPolicy() LedgerPolicy {
 			"internal/dist": {
 				"runRound": true,
 			},
-			// netsim's per-node step is the net.Conn execution's round: it
-			// drives the same DecideSends/Receive pair dist.runRound does,
-			// and the harness verifies conservation externally.
-			"internal/netsim": {
-				"step": true,
-			},
 		},
 		Conduits: map[string]map[string]bool{
 			"internal/engine": {"mutateLedgered": true},

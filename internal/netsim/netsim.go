@@ -1,48 +1,37 @@
-// Package netsim runs Algorithm 1 over a real network stack: every node is
-// a goroutine that talks to its neighbours exclusively through net.Conn
-// links carrying gob-encoded task batches — no shared memory between nodes
-// at all. It is the wire-protocol counterpart of package dist (which
-// exchanges batches through channels) and produces the same task placement,
-// which the tests assert against the centralized implementation.
+// Package netsim carries dist.Cluster's task batches over a real network
+// stack: each edge's link is a pair of net.Conn ends exchanging gob-encoded
+// frames, so nodes share no memory at all. The node loop, the round barrier
+// and the bit-identity with the centralized Algorithm 1 are dist's; this
+// package supplies only the transports and the wire link:
 //
-// Links are pluggable through the Transport interface: in-memory synchronous
-// pipes (net.Pipe) by default, or TCP over the loopback interface for runs
-// that exercise the OS network stack.
+//	c, err := dist.NewClusterOver(g, s, d, maker, netsim.PipeTransport{})
+//
+// PipeTransport links nodes with synchronous in-memory pipes (net.Pipe);
+// TCPTransport with TCP connections over the loopback interface, which
+// exercises the OS network stack.
 package netsim
 
 import (
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"net"
-	"sync"
 
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/load"
 )
-
-// Transport produces the duplex links nodes communicate over.
-type Transport interface {
-	// Link returns two connected endpoints of a reliable duplex link.
-	Link() (a, b net.Conn, err error)
-	// Close releases transport-wide resources (listeners etc.). Individual
-	// conns are closed by the cluster.
-	Close() error
-}
 
 // PipeTransport links nodes with synchronous in-memory pipes.
 type PipeTransport struct{}
 
-var _ Transport = PipeTransport{}
+var _ dist.Transport = PipeTransport{}
 
-// Link implements Transport.
-func (PipeTransport) Link() (net.Conn, net.Conn, error) {
+// Link implements dist.Transport.
+func (PipeTransport) Link() (dist.Link, dist.Link, error) {
 	a, b := net.Pipe()
-	return a, b, nil
+	return newLink(a), newLink(b), nil
 }
 
-// Close implements Transport.
+// Close implements dist.Transport.
 func (PipeTransport) Close() error { return nil }
 
 // TCPTransport links nodes with TCP connections over the loopback
@@ -51,7 +40,7 @@ type TCPTransport struct {
 	ln net.Listener
 }
 
-var _ Transport = (*TCPTransport)(nil)
+var _ dist.Transport = (*TCPTransport)(nil)
 
 // NewTCPTransport opens a loopback listener used to accept one side of
 // every link.
@@ -63,9 +52,17 @@ func NewTCPTransport() (*TCPTransport, error) {
 	return &TCPTransport{ln: ln}, nil
 }
 
-// Link implements Transport: it dials the listener and pairs the accepted
-// conn with the dialled one.
-func (t *TCPTransport) Link() (net.Conn, net.Conn, error) {
+// Link implements dist.Transport.
+func (t *TCPTransport) Link() (dist.Link, dist.Link, error) {
+	a, b, err := t.dial()
+	if err != nil {
+		return nil, nil, err
+	}
+	return newLink(a), newLink(b), nil
+}
+
+// dial dials the listener and pairs the dialled conn with the accepted one.
+func (t *TCPTransport) dial() (net.Conn, net.Conn, error) {
 	type accepted struct {
 		conn net.Conn
 		err  error
@@ -87,7 +84,7 @@ func (t *TCPTransport) Link() (net.Conn, net.Conn, error) {
 	return dialled, acc.conn, nil
 }
 
-// Close implements Transport.
+// Close implements dist.Transport.
 func (t *TCPTransport) Close() error { return t.ln.Close() }
 
 // frame is the wire message: one round's task batch over one directed link.
@@ -96,241 +93,52 @@ type frame struct {
 	Tasks []load.Task
 }
 
-// link is one node's view of a duplex neighbour connection.
+// link is one node's end of a conn, speaking gob frames. Send hands the
+// encode to a goroutine of its own: a net.Pipe write blocks until the peer
+// reads, and the peer reads only after its own sends, so a synchronous
+// write would deadlock the send-then-receive round.
 type link struct {
 	conn net.Conn
 	enc  *gob.Encoder
 	dec  *gob.Decoder
+	// sent carries the result of the one write in flight (or of the last
+	// one); it holds nil before the first Send.
+	sent chan error
 }
 
-// Cluster runs Algorithm 1 over network links.
-type Cluster struct {
-	g      *graph.Graph
-	s      load.Speeds
-	wmax   int64
-	tr     Transport
-	nodes  []*nodeState
-	states []*dist.SendState
-	round  int
+func newLink(conn net.Conn) *link {
+	l := &link{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), sent: make(chan error, 1)}
+	l.sent <- nil
+	return l
 }
 
-// nodeState is the full per-node state: the shared flow-imitation
-// bookkeeping from package dist plus the wire links.
-type nodeState struct {
-	id    int
-	st    *dist.SendState
-	cont  contProcess
-	links []link
-}
-
-// contProcess is the slice of the continuous.Process interface netsim needs;
-// keeping it minimal avoids a hard dependency in the hot path.
-type contProcess interface {
-	Step() dist.NetFlows
-}
-
-// procAdapter adapts a continuous.Process (whose Step returns a concrete
-// *continuous.Flows) to contProcess.
-type procAdapter struct {
-	step func() dist.NetFlows
-}
-
-func (p procAdapter) Step() dist.NetFlows { return p.step() }
-
-// New builds a network cluster for Algorithm 1. dist is the initial task
-// placement; maker builds each node's continuous replica (same contract as
-// package dist: replicas must be independent); tr provides the links.
-func New(g *graph.Graph, s load.Speeds, taskDist load.TaskDist, maker dist.ProcessMaker, tr Transport) (*Cluster, error) {
-	if g == nil {
-		return nil, errors.New("netsim: nil graph")
-	}
-	if maker == nil {
-		return nil, errors.New("netsim: nil process maker")
-	}
-	if tr == nil {
-		return nil, errors.New("netsim: nil transport")
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if len(s) != g.N() {
-		return nil, fmt.Errorf("netsim: speeds length %d != n %d", len(s), g.N())
-	}
-	if len(taskDist) != g.N() {
-		return nil, fmt.Errorf("netsim: task distribution length %d != n %d", len(taskDist), g.N())
-	}
-	if err := taskDist.Validate(); err != nil {
-		return nil, err
-	}
-	x0 := taskDist.Loads().Float()
-
-	// Create one duplex link per edge; endpoint A belongs to U(e). On any
-	// later construction failure every already-opened conn is closed, so
-	// aborted constructions do not leak sockets.
-	type pair struct{ a, b net.Conn }
-	var pairs []pair
-	closePairs := func() {
-		for _, p := range pairs {
-			p.a.Close()
-			p.b.Close()
-		}
-	}
-	for e := 0; e < g.M(); e++ {
-		a, b, err := tr.Link()
-		if err != nil {
-			closePairs()
-			return nil, fmt.Errorf("netsim: link for edge %d: %w", e, err)
-		}
-		pairs = append(pairs, pair{a: a, b: b})
-	}
-	c := &Cluster{
-		g:      g,
-		s:      s.Clone(),
-		wmax:   taskDist.MaxWeight(),
-		tr:     tr,
-		nodes:  make([]*nodeState, g.N()),
-		states: make([]*dist.SendState, g.N()),
-	}
-	for i := 0; i < g.N(); i++ {
-		replica, err := maker(x0)
-		if err != nil {
-			closePairs()
-			return nil, fmt.Errorf("netsim: replica for node %d: %w", i, err)
-		}
-		r := replica
-		nd := &nodeState{
-			id:   i,
-			st:   dist.NewSendState(taskDist[i], g.Degree(i)),
-			cont: procAdapter{step: func() dist.NetFlows { return r.Step() }},
-		}
-		for _, arc := range g.Neighbors(i) {
-			conn := pairs[arc.Edge].a
-			if arc.Out < 0 {
-				conn = pairs[arc.Edge].b
-			}
-			nd.links = append(nd.links, link{
-				conn: conn,
-				enc:  gob.NewEncoder(conn),
-				dec:  gob.NewDecoder(conn),
-			})
-		}
-		c.nodes[i] = nd
-		c.states[i] = nd.st
-	}
-	return c, nil
-}
-
-// Step executes one synchronous round over the network. Any I/O or protocol
-// error aborts the round and is returned.
-func (c *Cluster) Step() error {
-	errCh := make(chan error, len(c.nodes))
-	var wg sync.WaitGroup
-	for _, nd := range c.nodes {
-		wg.Add(1)
-		go func(nd *nodeState) {
-			defer wg.Done()
-			if err := nd.step(c.g, c.wmax, c.round); err != nil {
-				errCh <- fmt.Errorf("node %d: %w", nd.id, err)
-			}
-		}(nd)
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
+// Send implements dist.Link. It returns the previous round's write error;
+// that write has completed, since the peer received it in that round.
+func (l *link) Send(round int, tasks []load.Task) error {
+	if err := <-l.sent; err != nil {
+		l.sent <- err
 		return err
 	}
-	c.round++
+	go func() { l.sent <- l.enc.Encode(frame{Round: round, Tasks: tasks}) }()
 	return nil
 }
 
-// step is one node's round: advance the replica, decide sends (the shared
-// dist.SendState logic, identical to core.FlowImitation with LIFO task
-// picks), then exchange frames. Writes run in their own goroutines because
-// pipe links are synchronous.
-func (nd *nodeState) step(g *graph.Graph, wmax int64, round int) error {
-	fl := nd.cont.Step()
-	neigh := g.Neighbors(nd.id)
-	batches := nd.st.DecideSends(neigh, fl, wmax)
-
-	// Concurrent writers per link; the node goroutine reads.
-	var writers sync.WaitGroup
-	writeErrs := make(chan error, len(neigh))
-	for k := range neigh {
-		writers.Add(1)
-		go func(k int) {
-			defer writers.Done()
-			if err := nd.links[k].enc.Encode(frame{Round: round, Tasks: batches[k]}); err != nil {
-				writeErrs <- fmt.Errorf("send to neighbour %d: %w", k, err)
-			}
-		}(k)
+// Recv implements dist.Link, checking that the frame belongs to the round.
+func (l *link) Recv(round int) ([]load.Task, error) {
+	var in frame
+	if err := l.dec.Decode(&in); err != nil {
+		return nil, err
 	}
-	var firstErr error
-	for k, arc := range neigh {
-		var in frame
-		if err := nd.links[k].dec.Decode(&in); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("recv from neighbour %d: %w", k, err)
-			}
-			continue
-		}
-		if in.Round != round {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("protocol: got round %d frame, want %d", in.Round, round)
-			}
-			continue
-		}
-		nd.st.Receive(k, arc, in.Tasks)
+	if in.Round != round {
+		return nil, fmt.Errorf("netsim: protocol: got round %d frame, want %d", in.Round, round)
 	}
-	writers.Wait()
-	close(writeErrs)
-	if firstErr == nil {
-		firstErr = <-writeErrs
-	}
-	return firstErr
+	return in.Tasks, nil
 }
 
-// Run executes the given number of rounds, stopping at the first error.
-func (c *Cluster) Run(rounds int) error {
-	for t := 0; t < rounds; t++ {
-		if err := c.Step(); err != nil {
-			return fmt.Errorf("netsim: round %d: %w", t, err)
-		}
-	}
-	return nil
+// Close implements dist.Link: it closes the conn, which fails any write
+// still in flight, and waits for that write's goroutine to finish.
+func (l *link) Close() error {
+	err := l.conn.Close()
+	<-l.sent
+	return err
 }
-
-// Close closes every link and the transport.
-func (c *Cluster) Close() error {
-	var firstErr error
-	seen := map[net.Conn]struct{}{}
-	for _, nd := range c.nodes {
-		for _, l := range nd.links {
-			if _, dup := seen[l.conn]; dup {
-				continue
-			}
-			seen[l.conn] = struct{}{}
-			if err := l.conn.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if err := c.tr.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
-
-// Round returns the number of completed rounds.
-func (c *Cluster) Round() int { return c.round }
-
-// Load returns the per-node total task weight, including dummies.
-func (c *Cluster) Load() load.Vector { return dist.Loads(c.states) }
-
-// LoadExcludingDummies returns the per-node real load.
-func (c *Cluster) LoadExcludingDummies() load.Vector { return dist.RealLoads(c.states) }
-
-// DummiesCreated returns the total dummy weight drawn across all nodes.
-func (c *Cluster) DummiesCreated() int64 { return dist.TotalDummies(c.states) }
-
-// Speeds returns the node speeds.
-func (c *Cluster) Speeds() load.Speeds { return c.s }
