@@ -20,9 +20,11 @@
 // token bucket (R events/s at the crest); with -rate 0 it runs as fast
 // as the target accepts, which is how the throughput milestone is
 // measured.
-// A single generator goroutine owns the scenario, so the produced event
-// sequence is identical for a given (scenario, seed, params) no matter
-// how many clients deliver it.
+// Each client owns a scenario over its own share of the target's node
+// ids, seeded from -seed and the client index: no event one client sends
+// can name a node another client's leave removed, so every interleaving
+// of the clients' streams is valid, and for a given (scenario, seed,
+// clients, params) each client sends the identical event sequence.
 package main
 
 import (
@@ -89,7 +91,7 @@ func run() error {
 	flag.DurationVar(&cfg.pulsePeriod, "pulse-period", 10*time.Second, "pulse cycle length")
 	flag.IntVar(&cfg.tokens, "tokens", 0, "mean tasks per arrival (0 = scenario default)")
 	flag.Int64Var(&cfg.wmax, "wmax", 0, "task weights drawn from {1..wmax} (0 = scenario default)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "generator seed (same seed = same event stream)")
+	flag.Int64Var(&cfg.seed, "seed", 1, "generator seed (same seed and client count = same per-client event streams)")
 	flag.DurationVar(&cfg.report, "report", 5*time.Second, "progress report interval")
 	flag.StringVar(&cfg.stepMode, "step", "auto", "server step mode on the stream (auto|off)")
 	flag.StringVar(&cfg.out, "out", "", "write the run's JSON result to this file")
@@ -239,12 +241,6 @@ type snapshot struct {
 	NodeIDs    []int   `json:"node_ids"`
 }
 
-// batchMsg is one pre-encoded NDJSON request body.
-type batchMsg struct {
-	payload []byte
-	events  int
-}
-
 // stats aggregates across client goroutines.
 type stats struct {
 	events  atomic.Int64
@@ -291,17 +287,14 @@ func runLoad(ctx context.Context, cfg config, out io.Writer) (*Result, error) {
 			nodes[i] = i
 		}
 	}
-	scn, err := workload.NewScenario(cfg.scenario)
-	if err != nil {
-		return nil, err
+	if len(nodes) < cfg.clients {
+		return nil, fmt.Errorf("lbload: %d clients need at least as many nodes, target has %d", cfg.clients, len(nodes))
 	}
-	if err := scn.Init(workload.ScenarioParams{
-		Nodes:  nodes,
-		Seed:   cfg.seed,
-		Tokens: cfg.tokens,
-		Wmax:   cfg.wmax,
-	}); err != nil {
-		return nil, err
+	scenarios := make([]workload.Scenario, cfg.clients)
+	for c := range scenarios {
+		if scenarios[c], err = clientScenario(cfg, nodes, c); err != nil {
+			return nil, err
+		}
 	}
 	var bucket *workload.TokenBucket
 	var pacerWait atomic.Int64 // nanoseconds blocked in bucket.Wait
@@ -325,55 +318,37 @@ func runLoad(ctx context.Context, cfg config, out io.Writer) (*Result, error) {
 	st := &stats{}
 	streamURL := strings.TrimRight(cfg.target, "/") + "/events/stream?step=" + cfg.stepMode
 
-	// The generator goroutine owns the scenario: one seeded stream,
-	// chunked into pre-encoded NDJSON bodies. Clients only deliver, so
-	// GOMAXPROCS and scheduling never change what is sent.
-	batches := make(chan batchMsg, cfg.clients*2)
-	deadline := time.NewTimer(cfg.duration)
-	defer deadline.Stop()
-	go func() {
-		defer close(batches)
-		for {
-			select {
-			case <-runCtx.Done():
-				return
-			case <-deadline.C:
-				return
-			default:
-			}
-			buf := &bytes.Buffer{}
-			buf.Grow(cfg.batch * 48)
-			enc := json.NewEncoder(buf)
-			for i := 0; i < cfg.batch; i++ {
-				ev := scn.Next()
-				if err := enc.Encode(&ev); err != nil {
-					st.fail(fmt.Errorf("encode event: %w", err))
-					return
-				}
-			}
-			if bucket != nil {
-				if err := bucket.Wait(runCtx, cfg.batch); err != nil {
-					return
-				}
-			}
-			select {
-			case batches <- batchMsg{payload: buf.Bytes(), events: cfg.batch}:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
-
+	// Each client generates its own bodies until the run's duration ends
+	// and posts them one at a time.
+	genCtx, stopGen := context.WithTimeout(runCtx, cfg.duration)
+	defer stopGen()
 	var wg sync.WaitGroup
 	var aborted atomic.Bool
-	for c := 0; c < cfg.clients; c++ {
+	for c := range scenarios {
 		wg.Add(1)
-		go func() {
+		go func(scn workload.Scenario) {
 			defer wg.Done()
 			consecutive := 0
-			for m := range batches {
+			for genCtx.Err() == nil {
+				// A fresh body per request: the transport may still be
+				// reading the last one when an early response returns.
+				buf := &bytes.Buffer{}
+				buf.Grow(cfg.batch * 48)
+				enc := json.NewEncoder(buf)
+				for i := 0; i < cfg.batch; i++ {
+					ev := scn.Next()
+					if err := enc.Encode(&ev); err != nil {
+						st.fail(fmt.Errorf("encode event: %w", err))
+						return
+					}
+				}
+				if bucket != nil {
+					if err := bucket.Wait(genCtx, cfg.batch); err != nil {
+						return
+					}
+				}
 				t0 := time.Now()
-				rounds, pending, err := postStream(client, streamURL, m.payload)
+				rounds, pending, err := postStream(client, streamURL, buf.Bytes())
 				if err != nil {
 					st.fail(err)
 					consecutive++
@@ -388,13 +363,13 @@ func runLoad(ctx context.Context, cfg config, out io.Writer) (*Result, error) {
 				}
 				consecutive = 0
 				st.hist.Record(time.Since(t0))
-				st.events.Add(int64(m.events))
+				st.events.Add(int64(cfg.batch))
 				st.batches.Add(1)
-				st.bytes.Add(int64(len(m.payload)))
+				st.bytes.Add(int64(buf.Len()))
 				st.rounds.Add(rounds)
 				st.pending.Store(pending)
 			}
-		}()
+		}(scenarios[c])
 	}
 
 	// Periodic progress, modusGraph-style: interval throughput plus
@@ -497,6 +472,28 @@ func runLoad(ctx context.Context, cfg config, out io.Writer) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// clientScenario initializes client c's scenario over every clients-th
+// node id from index c on, seeded from the run's seed and c.
+func clientScenario(cfg config, nodes []int, c int) (workload.Scenario, error) {
+	scn, err := workload.NewScenario(cfg.scenario)
+	if err != nil {
+		return nil, err
+	}
+	var share []int
+	for i := c; i < len(nodes); i += cfg.clients {
+		share = append(share, nodes[i])
+	}
+	if err := scn.Init(workload.ScenarioParams{
+		Nodes:  share,
+		Seed:   cfg.seed*1_000_003 + int64(c),
+		Tokens: cfg.tokens,
+		Wmax:   cfg.wmax,
+	}); err != nil {
+		return nil, err
+	}
+	return scn, nil
 }
 
 func msOf(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -117,6 +118,50 @@ func TestRunLoadScenarios(t *testing.T) {
 				t.Fatalf("no progress reports emitted:\n%s", progress.String())
 			}
 		})
+	}
+}
+
+// TestClientScenariosDisjoint pins what keeps concurrent churn valid:
+// every event a client's scenario generates names only nodes of that
+// client's share, the shares partition the node ids, and a client's
+// stream is a function of the seed and its index alone.
+func TestClientScenariosDisjoint(t *testing.T) {
+	cfg := smokeConfig("http://localhost:1")
+	cfg.scenario = "churn-storm"
+	cfg.clients = 3
+	nodes := make([]int, 64)
+	for i := range nodes {
+		nodes[i] = 100 + i
+	}
+	owner := make(map[int]int)
+	for c := 0; c < cfg.clients; c++ {
+		scn, err := clientScenario(cfg, nodes, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := clientScenario(cfg, nodes, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 4096; k++ {
+			ev := scn.Next()
+			if ev2 := again.Next(); !reflect.DeepEqual(ev, ev2) {
+				t.Fatalf("client %d event %d: %+v, then %+v from the same seed", c, k, ev, ev2)
+			}
+			named := append([]int(nil), ev.Peers...)
+			if ev.Kind != "join" {
+				named = append(named, ev.Node)
+			}
+			for _, node := range named {
+				if o, ok := owner[node]; ok && o != c {
+					t.Fatalf("client %d names node %d of client %d", c, node, o)
+				}
+				owner[node] = c
+			}
+		}
+	}
+	if len(owner) != len(nodes) {
+		t.Fatalf("clients named %d of the %d nodes", len(owner), len(nodes))
 	}
 }
 

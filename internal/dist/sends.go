@@ -14,12 +14,13 @@ type NetFlows interface {
 }
 
 // SendState is the per-node flow-imitation bookkeeping shared by the
-// channel-based execution in this package, the wire-based execution in
-// package netsim, and the online runtime in package engine: the task pool,
-// the cumulative continuous (fA) and discrete (fD) signed net flow of each
-// incident edge, and the dummy counter. DecideSends is the per-node view of
-// core.FlowImitation's edge loop; keeping it in one place is what keeps the
-// distributed executions bit-for-bit identical to the centralized one.
+// distributed node loop in this package (Cluster, over any Transport,
+// netsim's included) and the online runtime in package engine: the task
+// pool, the cumulative continuous (fA) and discrete (fD) signed net flow
+// of each incident edge, and the dummy counter. DecideSends is the
+// per-node view of core.FlowImitation's edge loop; keeping it in one place
+// is what keeps the distributed executions bit-for-bit identical to the
+// centralized one.
 //
 // fA and fD are indexed like the node's adjacency list and use the edge's
 // global U(e)->V(e) sign convention. Package engine keeps its flow

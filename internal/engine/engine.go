@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"runtime"
@@ -105,7 +104,6 @@ type Engine struct {
 	round int64
 
 	queue eventQueue
-	seq   int64
 
 	// expectedReal is the conserved non-dummy task weight: initial load
 	// plus arrivals minus completions. retiredDummies preserves the
@@ -319,7 +317,7 @@ func (e *Engine) NumEdges() int { return e.topo.NumEdges() }
 func (e *Engine) RealTotal() int64 { return e.expectedReal }
 
 // PendingEvents returns the number of scheduled, not yet applied events.
-func (e *Engine) PendingEvents() int { return len(e.queue) }
+func (e *Engine) PendingEvents() int { return e.queue.len() }
 
 // EventsApplied returns the number of events applied so far.
 func (e *Engine) EventsApplied() int64 { return e.eventsApplied }
@@ -369,8 +367,7 @@ func (e *Engine) Schedule(ev Event) error {
 	if ev.At < e.round {
 		ev.At = e.round
 	}
-	heap.Push(&e.queue, queued{ev: ev, seq: e.seq})
-	e.seq++
+	e.queue.push(ev)
 	return nil
 }
 
@@ -409,8 +406,11 @@ func (e *Engine) Step() error {
 	start := nowMetric()
 	applied := 0
 	var stepErr error
-	for len(e.queue) > 0 && e.queue[0].ev.At <= e.round {
-		ev := heap.Pop(&e.queue).(queued).ev
+	for {
+		ev, ok := e.queue.popDue(e.round)
+		if !ok {
+			break
+		}
 		if err := e.applyEvent(ev); err != nil {
 			e.instr.eventsRejected.Inc()
 			stepErr = fmt.Errorf("engine: round %d %s event: %w", e.round, ev.Kind, err)
@@ -501,14 +501,14 @@ func (e *Engine) Run(rounds int) error {
 // was reached.
 func (e *Engine) RunUntilBound(maxRounds int) (int, bool, error) {
 	for t := 0; t < maxRounds; t++ {
-		if len(e.queue) == 0 && e.MaxAvg() <= e.Bound() {
+		if e.queue.len() == 0 && e.MaxAvg() <= e.Bound() {
 			return t, true, nil
 		}
 		if err := e.Step(); err != nil {
 			return t, false, err
 		}
 	}
-	return maxRounds, len(e.queue) == 0 && e.MaxAvg() <= e.Bound(), nil
+	return maxRounds, e.queue.len() == 0 && e.MaxAvg() <= e.Bound(), nil
 }
 
 // applyEvent dispatches one event. A returned error means the event was
@@ -963,7 +963,7 @@ func (e *Engine) Snapshot(includeLoads bool) Snapshot {
 		Wmax:       e.wmax,
 		RealTotal:  e.expectedReal,
 		Dummies:    e.DummiesCreated(),
-		Pending:    len(e.queue),
+		Pending:    e.queue.len(),
 		Events:     e.eventsApplied,
 		FullAudits: e.fullAudits,
 		MaxAvg:     maxAvg,

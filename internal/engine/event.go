@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/load"
@@ -123,38 +122,106 @@ func kindRank(k Kind) int {
 	}
 }
 
-// queued is an Event with its insertion sequence number for stable ordering.
-type queued struct {
-	ev  Event
-	seq int64
+// numRanks is the number of kindRank values a scheduled event can take;
+// Schedule rejects the unknown kinds that would rank 5.
+const numRanks = 5
+
+// eventQueue is a calendar queue over (At, kindRank, seq): one bucket per
+// round that has pending events, each holding one FIFO per kind rank.
+// Insertion order within a FIFO is seq order, so popping the head of the
+// lowest non-empty rank of the earliest bucket yields the (At, kindRank,
+// seq) total order without comparing events. Nearly every event is due in
+// the current round, which is the first bucket: push and pop are O(1)
+// there, and a future round costs one binary search over the distinct
+// pending rounds.
+type eventQueue struct {
+	// buckets are the non-empty buckets in ascending At.
+	buckets []*eventBucket
+	// spare is the last drained bucket, kept with its FIFO storage for
+	// the next round's events.
+	spare *eventBucket
+	n     int
 }
 
-// eventQueue is a priority queue over (At, kindRank, seq).
-type eventQueue []queued
+type eventBucket struct {
+	at    int64
+	n     int
+	fifos [numRanks]eventFIFO
+}
 
-func (q eventQueue) Len() int { return len(q) }
+// eventFIFO is a FIFO of events: evs[head:] are pending. Popped slots are
+// zeroed so the queue does not keep their task slices alive.
+type eventFIFO struct {
+	evs  []Event
+	head int
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	a, b := q[i], q[j]
-	if a.ev.At != b.ev.At {
-		return a.ev.At < b.ev.At
+// len returns the number of pending events.
+func (q *eventQueue) len() int { return q.n }
+
+// push enqueues ev behind every pending event of its (At, kindRank).
+func (q *eventQueue) push(ev Event) {
+	b := q.bucket(ev.At)
+	f := &b.fifos[kindRank(ev.Kind)]
+	f.evs = append(f.evs, ev)
+	b.n++
+	q.n++
+}
+
+// bucket returns the bucket of round at, inserting an empty one into the
+// ordered index if there is none.
+func (q *eventQueue) bucket(at int64) *eventBucket {
+	if len(q.buckets) > 0 && q.buckets[0].at == at {
+		return q.buckets[0]
 	}
-	if ra, rb := kindRank(a.ev.Kind), kindRank(b.ev.Kind); ra != rb {
-		return ra < rb
+	lo, hi := 0, len(q.buckets)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if q.buckets[mid].at < at {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return a.seq < b.seq
+	if lo < len(q.buckets) && q.buckets[lo].at == at {
+		return q.buckets[lo]
+	}
+	b := q.spare
+	if b == nil {
+		b = new(eventBucket)
+	}
+	q.spare = nil
+	b.at = at
+	q.buckets = append(q.buckets, nil)
+	copy(q.buckets[lo+1:], q.buckets[lo:])
+	q.buckets[lo] = b
+	return b
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(queued)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+// popDue removes and returns the first event in (At, kindRank, seq) order
+// if it is due at round, that is, if its At is at most round.
+func (q *eventQueue) popDue(round int64) (Event, bool) {
+	if q.n == 0 || q.buckets[0].at > round {
+		return Event{}, false
+	}
+	b := q.buckets[0]
+	r := 0
+	for b.fifos[r].head == len(b.fifos[r].evs) {
+		r++
+	}
+	f := &b.fifos[r]
+	ev := f.evs[f.head]
+	f.evs[f.head] = Event{}
+	f.head++
+	if f.head == len(f.evs) {
+		f.evs, f.head = f.evs[:0], 0
+	}
+	q.n--
+	if b.n--; b.n == 0 {
+		copy(q.buckets, q.buckets[1:])
+		q.buckets[len(q.buckets)-1] = nil
+		q.buckets = q.buckets[:len(q.buckets)-1]
+		q.spare = b
+	}
+	return ev, true
 }
-
-var _ heap.Interface = (*eventQueue)(nil)

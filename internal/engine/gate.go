@@ -388,6 +388,12 @@ func (e *Engine) runRound() {
 		e.updateWord(lo, min(lo+64, g.edgeCur.n))
 	}
 	g.nodeHot.clear()
+	// A worklist this round filled to under a sixteenth is released: the
+	// blanket wake of New and NewFromState lists every node once, and the
+	// rounds after it rarely need a fraction of that peak.
+	if c := cap(g.curNodes); c > 1024 && len(g.curNodes) < c/16 {
+		g.curNodes = nil
+	}
 
 	e.round++
 	now := nowMetric()

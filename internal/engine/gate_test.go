@@ -589,6 +589,16 @@ func quiescedEngine(t *testing.T, rows, cols int) *Engine {
 	return nil
 }
 
+// TestGateReleasesPeakWorklist pins the worklist release: the blanket
+// wake of New lists every node once, and the quiescent rounds after it
+// must not keep that peak capacity for the engine's life.
+func TestGateReleasesPeakWorklist(t *testing.T) {
+	e := quiescedEngine(t, 64, 64)
+	if c := cap(e.gate.curNodes); c != 0 {
+		t.Fatalf("quiesced 4096-node engine still holds a worklist of capacity %d", c)
+	}
+}
+
 // TestGateWakeLocality pins the wake rule: a single event into a fully
 // quiesced graph marks exactly the touched node's one-hop neighbourhood
 // hot, the imbalance ball grows by at most one hop per round, and a

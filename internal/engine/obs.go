@@ -99,7 +99,7 @@ func (in *instruments) publish(e *Engine, maxAvg, maxMin, potential float64) {
 	in.round.SetInt(e.round)
 	in.nodes.SetInt(int64(e.topo.NumNodes()))
 	in.edges.SetInt(int64(e.topo.NumEdges()))
-	in.pending.SetInt(int64(len(e.queue)))
+	in.pending.SetInt(int64(e.queue.len()))
 	in.wmax.SetInt(e.wmax)
 	in.realTotal.SetInt(e.expectedReal)
 	in.dummies.SetInt(e.ledCreated)
@@ -172,7 +172,7 @@ func (e *Engine) recordRound(s Sample) {
 	e.flight.Append(TraceRecord{
 		Seq: e.traceSeq, Type: "round", Round: s.Round,
 		Nodes: s.Nodes, Edges: s.Edges, Events: s.Events,
-		Pending: len(e.queue), MaxAvg: s.MaxAvg, StepNanos: s.StepNanos,
+		Pending: e.queue.len(), MaxAvg: s.MaxAvg, StepNanos: s.StepNanos,
 		HotNodes: s.HotNodes, HotEdges: s.HotEdges,
 	})
 }

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -197,17 +199,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"samples": samples})
 }
 
+// handleEvents schedules the one event of the body. The body is decoded
+// by ParseEventLine under the stream's MaxLineBytes cap, so both ingest
+// endpoints share one schema and one set of rules.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
-	var req WireEvent
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode event: %w", err))
+	body, err := io.ReadAll(io.LimitReader(r.Body, int64(s.limits.MaxLineBytes)+1))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("read event: %w", err))
 		return
 	}
-	ev, err := FromWire(&req)
+	if len(body) > s.limits.MaxLineBytes {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("event exceeds %d bytes", s.limits.MaxLineBytes))
+		return
+	}
+	ev, err := ParseEventLine(bytes.TrimSpace(body))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -226,7 +235,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		at = round
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{
-		"scheduled": true, "kind": req.Kind, "at": at, "pending": pending,
+		"scheduled": true, "kind": ev.Kind.String(), "at": at, "pending": pending,
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -175,6 +176,30 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		if status != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400 (%v)", name, status, resp)
 		}
+	}
+
+	// POST /events decodes its body as one stream line: trailing data and
+	// a body over MaxLineBytes are rejected before anything is scheduled.
+	for name, body := range map[string]string{
+		"two-events":     `{"kind":"arrival","node":0,"tokens":1}` + "\n" + `{"kind":"leave","node":1}`,
+		"trailing-brace": `{"kind":"arrival","node":0,"tokens":1}}`,
+		"oversized":      `{"kind":"arrival","node":0,"tokens":1,"pad":"` + strings.Repeat("x", DefaultStreamLimits().MaxLineBytes) + `"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/events", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	var snap struct {
+		Pending int `json:"pending_events"`
+	}
+	getJSON(t, ts.URL+"/snapshot", &snap)
+	if snap.Pending != 0 {
+		t.Fatalf("rejected bodies left %d events pending", snap.Pending)
 	}
 
 	// Method and query validation.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -31,21 +30,26 @@ type WireEvent = wire.Event
 // FromWire converts the wire form into a runtime event, validating the
 // fields the Kind requires. Semantic checks that need engine state (node
 // liveness, topology) still happen at apply time.
-func FromWire(req *WireEvent) (Event, error) {
+func FromWire(req *WireEvent) (Event, error) { return fromWire(req, req.Weights) }
+
+// fromWire is FromWire with the arrival weights passed apart from req,
+// so that ParseEventLine can decode them into storage the event does not
+// keep.
+func fromWire(req *WireEvent, weights []int64) (Event, error) {
 	switch req.Kind {
 	case "arrival":
-		if len(req.Weights) > 0 {
+		if len(weights) > 0 {
 			// Explicit per-task weight list (the lossless form the WAL
 			// records for heterogeneous arrivals). Tokens, when set, must
 			// agree with it.
-			if req.Tokens != 0 && req.Tokens != len(req.Weights) {
-				return Event{}, fmt.Errorf("arrival tokens %d != weights length %d", req.Tokens, len(req.Weights))
+			if req.Tokens != 0 && req.Tokens != len(weights) {
+				return Event{}, fmt.Errorf("arrival tokens %d != weights length %d", req.Tokens, len(weights))
 			}
-			if len(req.Weights) > maxArrivalTokens {
-				return Event{}, fmt.Errorf("arrival weights length %d exceeds cap %d", len(req.Weights), maxArrivalTokens)
+			if len(weights) > maxArrivalTokens {
+				return Event{}, fmt.Errorf("arrival weights length %d exceeds cap %d", len(weights), maxArrivalTokens)
 			}
-			tasks := make([]load.Task, len(req.Weights))
-			for i, w := range req.Weights {
+			tasks := make([]load.Task, len(weights))
+			for i, w := range weights {
 				if w < 1 {
 					return Event{}, fmt.Errorf("arrival weight %d at index %d must be >= 1", w, i)
 				}
@@ -88,21 +92,6 @@ func FromWire(req *WireEvent) (Event, error) {
 	default:
 		return Event{}, fmt.Errorf("unknown event kind %q", req.Kind)
 	}
-}
-
-// ParseEventLine decodes one NDJSON line into a runtime event. It
-// rejects trailing data after the JSON value, so a concatenation of two
-// events on one line is an error rather than a silent drop.
-func ParseEventLine(line []byte) (Event, error) {
-	var req WireEvent
-	dec := json.NewDecoder(bytes.NewReader(line))
-	if err := dec.Decode(&req); err != nil {
-		return Event{}, fmt.Errorf("decode event: %w", err)
-	}
-	if dec.More() {
-		return Event{}, errors.New("trailing data after event")
-	}
-	return FromWire(&req)
 }
 
 // StreamLimits bounds the NDJSON ingest path of POST /events/stream.

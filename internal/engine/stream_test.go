@@ -333,104 +333,3 @@ func TestStreamRequestValidation(t *testing.T) {
 		t.Fatalf("blank stream: status %d, %+v", status, out)
 	}
 }
-
-func TestParseEventLine(t *testing.T) {
-	valid := []struct {
-		name string
-		line string
-		kind Kind
-	}{
-		{"arrival", `{"kind":"arrival","node":3,"tokens":5}`, KindTaskArrival},
-		{"weighted arrival", `{"kind":"arrival","node":3,"tokens":2,"weight":7}`, KindTaskArrival},
-		{"completion", `{"kind":"completion","node":1,"count":4}`, KindTaskCompletion},
-		{"join", `{"kind":"join","speed":2,"peers":[0,1]}`, KindNodeJoin},
-		{"leave", `{"kind":"leave","node":9}`, KindNodeLeave},
-		{"edge add", `{"kind":"edge-change","add":[[0,5]]}`, KindEdgeChange},
-		{"edge remove", `{"kind":"edge-change","remove":[[0,1]]}`, KindEdgeChange},
-		{"deferred", `{"kind":"arrival","at":40,"node":0,"tokens":1}`, KindTaskArrival},
-	}
-	for _, tc := range valid {
-		ev, err := ParseEventLine([]byte(tc.line))
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-			continue
-		}
-		if ev.Kind != tc.kind {
-			t.Errorf("%s: kind %v, want %v", tc.name, ev.Kind, tc.kind)
-		}
-	}
-	ev, err := ParseEventLine([]byte(`{"kind":"arrival","node":3,"tokens":2,"weight":7}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev.Tasks) != 2 || ev.Tasks[0].Weight != 7 {
-		t.Fatalf("weighted arrival expanded to %+v", ev.Tasks)
-	}
-
-	invalid := []struct {
-		name string
-		line string
-	}{
-		{"garbage", `{{{`},
-		{"trailing data", `{"kind":"leave","node":1} {"kind":"leave","node":2}`},
-		{"unknown kind", `{"kind":"reboot"}`},
-		{"zero tokens", `{"kind":"arrival","node":0,"tokens":0}`},
-		{"negative tokens", `{"kind":"arrival","node":0,"tokens":-4}`},
-		{"tokens over cap", fmt.Sprintf(`{"kind":"arrival","node":0,"tokens":%d}`, maxArrivalTokens+1)},
-		{"negative weight", `{"kind":"arrival","node":0,"tokens":1,"weight":-2}`},
-		{"zero count", `{"kind":"completion","node":0,"count":0}`},
-		{"empty edge change", `{"kind":"edge-change"}`},
-		{"no kind", `{"node":4}`},
-	}
-	for _, tc := range invalid {
-		if _, err := ParseEventLine([]byte(tc.line)); err == nil {
-			t.Errorf("%s: ParseEventLine accepted %s", tc.name, tc.line)
-		}
-	}
-}
-
-// FuzzParseEventLine fuzzes the NDJSON decoder: any input must either
-// fail cleanly or produce a structurally valid event — no panics, no
-// dummy tasks, no unbounded allocations from a short line.
-func FuzzParseEventLine(f *testing.F) {
-	f.Add([]byte(`{"kind":"arrival","node":3,"tokens":5}`))
-	f.Add([]byte(`{"kind":"arrival","node":0,"tokens":2,"weight":9,"at":17}`))
-	f.Add([]byte(`{"kind":"completion","node":1,"count":4}`))
-	f.Add([]byte(`{"kind":"join","speed":2,"peers":[0,1,2]}`))
-	f.Add([]byte(`{"kind":"leave","node":9}`))
-	f.Add([]byte(`{"kind":"edge-change","add":[[0,5]],"remove":[[1,2]]}`))
-	f.Add([]byte(`{"kind":"arrival","tokens":1} trailing`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(``))
-	f.Fuzz(func(t *testing.T, line []byte) {
-		ev, err := ParseEventLine(line)
-		if err != nil {
-			return
-		}
-		switch ev.Kind {
-		case KindTaskArrival:
-			if len(ev.Tasks) < 1 || len(ev.Tasks) > maxArrivalTokens {
-				t.Fatalf("arrival with %d tasks from %q", len(ev.Tasks), line)
-			}
-			for _, task := range ev.Tasks {
-				if task.Weight < 1 {
-					t.Fatalf("task weight %d from %q", task.Weight, line)
-				}
-				if task.Dummy {
-					t.Fatalf("dummy task from the wire: %q", line)
-				}
-			}
-		case KindTaskCompletion:
-			if ev.Count < 1 {
-				t.Fatalf("completion count %d from %q", ev.Count, line)
-			}
-		case KindNodeJoin, KindNodeLeave:
-		case KindEdgeChange:
-			if len(ev.AddEdges) == 0 && len(ev.RemoveEdges) == 0 {
-				t.Fatalf("empty edge change accepted: %q", line)
-			}
-		default:
-			t.Fatalf("invalid kind %v from %q", ev.Kind, line)
-		}
-	})
-}

@@ -293,9 +293,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // enough view (bucket counts may momentarily lag the sum, as with any
 // lock-free histogram).
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Copy the families under the lock: lookup appends to a family's
+	// series concurrently, and the series already listed never change.
 	r.mu.Lock()
-	fams := make([]*family, len(r.order))
-	copy(fams, r.order)
+	fams := make([]family, len(r.order))
+	for i, f := range r.order {
+		fams[i] = *f
+	}
 	r.mu.Unlock()
 	var b strings.Builder
 	for _, f := range fams {
