@@ -24,7 +24,9 @@
 // ids, seeded from -seed and the client index: no event one client sends
 // can name a node another client's leave removed, so every interleaving
 // of the clients' streams is valid, and for a given (scenario, seed,
-// clients, params) each client sends the identical event sequence.
+// clients, params) each client sends the identical event sequence. With
+// N clients there are N streams, so quiescent pins traffic to N focus
+// nodes and hotspot and burst run per client.
 package main
 
 import (

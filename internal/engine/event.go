@@ -131,12 +131,16 @@ const numRanks = 5
 // Insertion order within a FIFO is seq order, so popping the head of the
 // lowest non-empty rank of the earliest bucket yields the (At, kindRank,
 // seq) total order without comparing events. Nearly every event is due in
-// the current round, which is the first bucket: push and pop are O(1)
-// there, and a future round costs one binary search over the distinct
-// pending rounds.
+// the current round, which is the earliest bucket: push and pop are O(1)
+// there. An event for another pending round costs one map lookup, and a
+// new round or a drained bucket O(log k) pointer moves in the heap of the
+// k pending rounds.
 type eventQueue struct {
-	// buckets are the non-empty buckets in ascending At.
-	buckets []*eventBucket
+	// heap is a binary min-heap of the non-empty buckets by At: heap[0]
+	// is the earliest pending round.
+	heap []*eventBucket
+	// byAt finds a pending round's bucket.
+	byAt map[int64]*eventBucket
 	// spare is the last drained bucket, kept with its FIFO storage for
 	// the next round's events.
 	spare *eventBucket
@@ -168,23 +172,14 @@ func (q *eventQueue) push(ev Event) {
 	q.n++
 }
 
-// bucket returns the bucket of round at, inserting an empty one into the
-// ordered index if there is none.
+// bucket returns the bucket of round at, adding an empty one to the heap
+// if there is none.
 func (q *eventQueue) bucket(at int64) *eventBucket {
-	if len(q.buckets) > 0 && q.buckets[0].at == at {
-		return q.buckets[0]
+	if len(q.heap) > 0 && q.heap[0].at == at {
+		return q.heap[0]
 	}
-	lo, hi := 0, len(q.buckets)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q.buckets[mid].at < at {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(q.buckets) && q.buckets[lo].at == at {
-		return q.buckets[lo]
+	if b := q.byAt[at]; b != nil {
+		return b
 	}
 	b := q.spare
 	if b == nil {
@@ -192,19 +187,59 @@ func (q *eventQueue) bucket(at int64) *eventBucket {
 	}
 	q.spare = nil
 	b.at = at
-	q.buckets = append(q.buckets, nil)
-	copy(q.buckets[lo+1:], q.buckets[lo:])
-	q.buckets[lo] = b
+	if q.byAt == nil {
+		q.byAt = make(map[int64]*eventBucket)
+	}
+	q.byAt[at] = b
+	q.heap = append(q.heap, b)
+	for i := len(q.heap) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q.heap[p].at < at {
+			break
+		}
+		q.heap[i], q.heap[p] = q.heap[p], b
+		i = p
+	}
 	return b
+}
+
+// dropHead removes the drained earliest bucket from the heap and keeps it
+// as the spare.
+func (q *eventQueue) dropHead() {
+	b := q.heap[0]
+	delete(q.byAt, b.at)
+	last := len(q.heap) - 1
+	x := q.heap[last]
+	q.heap[last] = nil
+	q.heap = q.heap[:last]
+	if last > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if c+1 < last && q.heap[c+1].at < q.heap[c].at {
+				c++
+			}
+			if x.at < q.heap[c].at {
+				break
+			}
+			q.heap[i] = q.heap[c]
+			i = c
+		}
+		q.heap[i] = x
+	}
+	q.spare = b
 }
 
 // popDue removes and returns the first event in (At, kindRank, seq) order
 // if it is due at round, that is, if its At is at most round.
 func (q *eventQueue) popDue(round int64) (Event, bool) {
-	if q.n == 0 || q.buckets[0].at > round {
+	if q.n == 0 || q.heap[0].at > round {
 		return Event{}, false
 	}
-	b := q.buckets[0]
+	b := q.heap[0]
 	r := 0
 	for b.fifos[r].head == len(b.fifos[r].evs) {
 		r++
@@ -218,10 +253,7 @@ func (q *eventQueue) popDue(round int64) (Event, bool) {
 	}
 	q.n--
 	if b.n--; b.n == 0 {
-		copy(q.buckets, q.buckets[1:])
-		q.buckets[len(q.buckets)-1] = nil
-		q.buckets = q.buckets[:len(q.buckets)-1]
-		q.spare = b
+		q.dropHead()
 	}
 	return ev, true
 }

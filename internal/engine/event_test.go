@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/heap"
+	"fmt"
 	"testing"
 )
 
@@ -92,6 +93,16 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 2, 3, 0, 4, 3, 2, 0, 0, 1, 2, 5, 2, 2})
 	f.Add([]byte{1, 9, 0, 5, 6, 3, 4, 1, 2, 0, 3, 1, 2, 2, 2, 2, 2})
 	f.Add([]byte{0, 1, 6, 0, 2, 6, 0, 3, 5, 0, 4, 4, 3, 2, 2, 2, 2, 2, 2})
+	// One event for each of 24 future rounds in descending order, then
+	// Steps through all of them.
+	var desc []byte
+	for d := 31; d >= 8; d-- {
+		desc = append(desc, 0, byte(d), byte(d))
+	}
+	for k := 0; k < 24; k++ {
+		desc = append(desc, 2)
+	}
+	f.Add(desc)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		// A longer stream only repeats the same operations, and the
 		// fuzzer's minimization of a long input would stall the run.
@@ -107,7 +118,9 @@ func FuzzEventQueue(f *testing.F) {
 					continue
 				}
 				kind := Kind(int(ops[i+1])%5 + 1)
-				at := p.round + int64(ops[i+2]%8) - 3
+				// Up to 8 rounds back and 23 ahead: enough distinct
+				// pending rounds for a heap of several levels.
+				at := p.round + int64(ops[i+2]%32) - 8
 				i += 2
 				if op&4 != 0 && at < p.round {
 					at = p.round // Schedule's clamp
@@ -133,4 +146,56 @@ func FuzzEventQueue(f *testing.F) {
 			t.Fatalf("calendar holds %d events after the heap drained", p.cal.len())
 		}
 	})
+}
+
+// BenchmarkEventQueueDeferred schedules one event for each of k distinct
+// future rounds, in ascending or descending round order, then drains them
+// round by round, on the calendar queue and on the heap reference. Nearly
+// every streamed event is due in the current round (BenchmarkEngineBurst
+// covers that path); this one prices the deferred path, where the
+// calendar keeps one bucket per distinct round.
+func BenchmarkEventQueueDeferred(b *testing.B) {
+	for _, k := range []int{64, 4096} {
+		for _, order := range []string{"ascending", "descending"} {
+			at := func(i int) int64 {
+				if order == "descending" {
+					return int64(k - i)
+				}
+				return int64(i + 1)
+			}
+			b.Run(fmt.Sprintf("calendar/%s/%d", order, k), func(b *testing.B) {
+				b.ReportAllocs()
+				var q eventQueue
+				for n := 0; n < b.N; n++ {
+					for i := 0; i < k; i++ {
+						q.push(Event{At: at(i), Kind: KindTaskCompletion, Count: 1})
+					}
+					for r := int64(1); r <= int64(k); r++ {
+						if _, ok := q.popDue(r); !ok {
+							b.Fatalf("round %d: nothing due", r)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/event")
+			})
+			b.Run(fmt.Sprintf("heap/%s/%d", order, k), func(b *testing.B) {
+				b.ReportAllocs()
+				var q heapQueue
+				var seq int64
+				for n := 0; n < b.N; n++ {
+					for i := 0; i < k; i++ {
+						heap.Push(&q, queued{ev: Event{At: at(i), Kind: KindTaskCompletion, Count: 1}, seq: seq})
+						seq++
+					}
+					for r := int64(1); r <= int64(k); r++ {
+						if q[0].ev.At > r {
+							b.Fatalf("round %d: nothing due", r)
+						}
+						heap.Pop(&q)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/event")
+			})
+		}
+	}
 }

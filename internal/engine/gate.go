@@ -254,6 +254,10 @@ type gate struct {
 	curNodes []int32
 	nodeHot  hotSet
 
+	// blanket marks the first round after initGate, whose worklist lists
+	// every node; the round releases it when done.
+	blanket bool
+
 	// track makes the update phase watch for x moves; it is off only when
 	// every edge slot is pending already. A move compares bits, not
 	// values: EncodeState hashes raw float bits, so "unchanged" must mean
@@ -279,6 +283,7 @@ func (e *Engine) initGate() {
 	ns, es := e.topo.NodeSlots(), e.topo.EdgeSlots()
 	g.edgeCur, g.edgePending = newHotSet(es), newHotSet(es)
 	g.nodeHot = newHotSet(ns)
+	g.blanket = true
 	e.gateWakeAll()
 }
 
@@ -388,11 +393,11 @@ func (e *Engine) runRound() {
 		e.updateWord(lo, min(lo+64, g.edgeCur.n))
 	}
 	g.nodeHot.clear()
-	// A worklist this round filled to under a sixteenth is released: the
-	// blanket wake of New and NewFromState lists every node once, and the
-	// rounds after it rarely need a fraction of that peak.
-	if c := cap(g.curNodes); c > 1024 && len(g.curNodes) < c/16 {
-		g.curNodes = nil
+	// The blanket wake's round listed every node: drop that worklist so
+	// its peak is not held for the engine's life. The next rounds regrow
+	// it to what they use and keep it from then on.
+	if g.blanket {
+		g.curNodes, g.blanket = nil, false
 	}
 
 	e.round++

@@ -589,14 +589,53 @@ func quiescedEngine(t *testing.T, rows, cols int) *Engine {
 	return nil
 }
 
-// TestGateReleasesPeakWorklist pins the worklist release: the blanket
-// wake of New lists every node once, and the quiescent rounds after it
-// must not keep that peak capacity for the engine's life.
+// TestGateReleasesPeakWorklist pins the worklist release: the round of
+// New's blanket wake lists every node, and that peak is dropped when the
+// round ends, so a quiescent engine holds no worklist. A busy engine
+// regrows it once and then keeps it: no later round frees and regrows it.
 func TestGateReleasesPeakWorklist(t *testing.T) {
-	e := quiescedEngine(t, 64, 64)
-	if c := cap(e.gate.curNodes); c != 0 {
-		t.Fatalf("quiesced 4096-node engine still holds a worklist of capacity %d", c)
-	}
+	t.Run("quiesced", func(t *testing.T) {
+		e := quiescedEngine(t, 64, 64)
+		if c := cap(e.gate.curNodes); c != 0 {
+			t.Fatalf("quiesced 4096-node engine still holds a worklist of capacity %d", c)
+		}
+	})
+	t.Run("busy", func(t *testing.T) {
+		g, err := graph.Torus(32, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec := make([]int64, g.N())
+		for i := range vec {
+			vec[i] = int64(i%7) * 8
+		}
+		tasks, err := load.NewTokens(vec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := mustEngine(t, Config{Graph: g, Speeds: load.UniformSpeeds(g.N()), Tasks: tasks, Workers: 2})
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if e.HotNodes() != g.N() || cap(e.gate.curNodes) != 0 {
+			t.Fatalf("blanket-wake round: %d hot nodes, worklist capacity %d after it; want %d and 0",
+				e.HotNodes(), cap(e.gate.curNodes), g.N())
+		}
+		var held *int32
+		for r := 2; r <= 10; r++ {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if e.HotNodes() != g.N() {
+				t.Fatalf("round %d: %d hot nodes, want all %d", r, e.HotNodes(), g.N())
+			}
+			first := &e.gate.curNodes[:1][0]
+			if held != nil && first != held {
+				t.Fatalf("round %d: the worklist was released and regrown", r)
+			}
+			held = first
+		}
+	})
 }
 
 // TestGateWakeLocality pins the wake rule: a single event into a fully

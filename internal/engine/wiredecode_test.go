@@ -184,10 +184,13 @@ func FuzzParseEventLine(f *testing.F) {
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, line []byte) {
-		// Longer lines add nothing the short ones do not reach, and the
-		// fuzzer's minimization of a long input would stall the run.
+		// Every check runs on at most the first 256 bytes: the fuzzer
+		// minimizes each new-coverage input by removing byte ranges, which
+		// takes time quadratic in its length and stalled the run on
+		// inputs of a few kilobytes. The nesting limit, the one rule that
+		// needs longer lines, is pinned in TestParseEventLine.
 		if len(line) > 256 {
-			return
+			line = line[:256]
 		}
 		ev, err := ParseEventLine(line)
 		want, wantErr := parseEventLineJSON(line)

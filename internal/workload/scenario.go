@@ -92,10 +92,15 @@ func (p *ScenarioParams) normalize() error {
 }
 
 // Scenario generates the wire-event stream of one named workload for the
-// streaming ingest path (POST /events/stream). A Scenario is meant to be
-// driven by a single generator goroutine: Next is not safe for
-// concurrent use — determinism comes from the single seeded stream, so a
-// soak failure replays exactly from (name, params).
+// streaming ingest path (POST /events/stream) over the node ids it is
+// given. A Scenario is one seeded stream, driven by one goroutine: Next
+// is not safe for concurrent use, and the stream replays exactly from
+// (name, params). A harness with several concurrent clients runs one
+// Scenario per client over disjoint node sets (cmd/lbload does, seeding
+// each from its seed and the client index), so each client's stream is
+// valid in any interleaving and a run replays from (name, params,
+// clients); the focus and hot-set descriptions below then hold per
+// client.
 type Scenario interface {
 	// Init prepares the generator; call it exactly once before Next.
 	Init(p ScenarioParams) error
@@ -107,14 +112,16 @@ type Scenario interface {
 // entry, in the style of YCSB named workloads.
 type ScenarioMaker func() Scenario
 
-// scenarioMakers is the named-scenario registry:
+// scenarioMakers is the named-scenario registry. Each entry describes one
+// stream over its ScenarioParams.Nodes; N streams over disjoint node sets
+// give N hot sets, N bursts and N foci.
 //
 //	steady       arrival/completion pairs on uniform nodes, Poisson batch sizes
 //	hotspot      most arrivals concentrated on a small hot ingress set
 //	burst        steady traffic with a large arrival burst every BurstEvery events
 //	churn-storm  steady traffic interleaved with node joins and leaves
 //	quiescent    all traffic pinned to one focus node, re-picked with a small
-//	             burst every BurstEvery events — the rest of the graph sleeps
+//	             burst every BurstEvery events — the stream's other nodes sleep
 //	ci-smoke     steady pinned to unit weights and 4-token batches (the CI scenario)
 var scenarioMakers = map[string]ScenarioMaker{
 	"steady":      func() Scenario { return &steadyScenario{} },
