@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/continuous"
 	"repro/internal/graph"
@@ -172,19 +173,17 @@ func (fi *FlowImitation) Step() {
 		fi.avail[i] = len(fi.tasks[i])
 		fi.incoming[i] = fi.incoming[i][:0]
 	}
-	var sender, recv int
-	take := func() load.Task { return fi.takeTask(sender) }
-	emit := func(q load.Task) { fi.incoming[recv] = append(fi.incoming[recv], q) }
+	src, dst := nodeSource{fi: fi}, nodeSink{fi: fi}
 	for e := 0; e < fi.g.M(); e++ {
 		gap := fi.fA[e] - float64(fi.fD[e])
 		u, v := fi.g.EdgeEndpoints(e)
 		var sign int64
-		sender, recv, sign = u, v, 1
+		src.i, dst.i, sign = u, v, 1
 		if gap < 0 {
-			sender, recv, sign = v, u, -1
+			src.i, dst.i, sign = v, u, -1
 			gap = -gap
 		}
-		fi.fD[e] += sign * Forward(gap, fi.wmax, take, emit)
+		fi.fD[e] += sign * Forward(gap, fi.wmax, &src, &dst)
 	}
 	for i := range fi.tasks {
 		fi.tasks[i] = append(fi.tasks[i][:fi.avail[i]], fi.incoming[i]...)
@@ -192,36 +191,66 @@ func (fi *FlowImitation) Step() {
 	fi.t++
 }
 
-// takeTask removes one unallocated task from node i according to the policy,
-// or draws a unit-weight dummy token from the infinite source when i has no
-// unallocated tasks left.
-func (fi *FlowImitation) takeTask(i int) load.Task {
+// nodeSource is node i's pool as Forward's source. The centralized pool
+// holds single tasks and hands them out one at a time, as runs of one, for
+// every policy: it is the per-task reference the run-length pools of the
+// other executions are checked against.
+type nodeSource struct {
+	fi      *FlowImitation
+	i, pick int
+}
+
+// Next returns the task the policy picks from node i's unallocated tasks,
+// or unit-weight dummy tokens from the infinite source when i has none
+// left.
+func (s *nodeSource) Next() load.Run {
+	fi, i := s.fi, s.i
 	if fi.avail[i] == 0 {
-		fi.dummies++
-		return load.Task{Weight: 1, Dummy: true}
+		return load.Run{Weight: 1, Dummy: true, Count: math.MaxInt64}
 	}
 	pool := fi.tasks[i]
-	last := fi.avail[i] - 1
-	if fi.policy == PolicyFIFO {
-		// Pop the oldest task, preserving arrival order in the pool.
-		q := pool[0]
-		fi.tasks[i] = pool[1:]
-		fi.avail[i]--
-		return q
-	}
-	pick := last
-	if fi.policy == PolicyLargestFirst {
+	s.pick = fi.avail[i] - 1
+	switch fi.policy {
+	case PolicyFIFO:
+		s.pick = 0
+	case PolicyLargestFirst:
 		for k := 0; k < fi.avail[i]; k++ {
-			if pool[k].Weight > pool[pick].Weight {
-				pick = k
+			if pool[k].Weight > pool[s.pick].Weight {
+				s.pick = k
 			}
 		}
 	}
-	q := pool[pick]
+	q := pool[s.pick]
+	return load.Run{Weight: q.Weight, Dummy: q.Dummy, Count: 1}
+}
+
+// Take removes the task Next picked, or counts k dummy draws.
+func (s *nodeSource) Take(k int64) {
+	fi, i := s.fi, s.i
+	if fi.avail[i] == 0 {
+		fi.dummies += k
+		return
+	}
+	pool := fi.tasks[i]
+	fi.avail[i]--
+	if fi.policy == PolicyFIFO {
+		// Pop the oldest task, preserving arrival order in the pool.
+		fi.tasks[i] = pool[1:]
+		return
+	}
 	// Swap the picked task out of the available prefix; arrivals are only
 	// appended after the round, so the prefix is the whole slice here.
-	pool[pick] = pool[last]
+	last := fi.avail[i]
+	pool[s.pick] = pool[last]
 	fi.tasks[i] = pool[:last]
-	fi.avail[i]--
-	return q
+}
+
+// nodeSink collects the tasks sent to node i this round.
+type nodeSink struct {
+	fi *FlowImitation
+	i  int
+}
+
+func (s *nodeSink) Add(r load.Run) {
+	s.fi.incoming[s.i] = r.AppendTo(s.fi.incoming[s.i])
 }

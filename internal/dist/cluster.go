@@ -22,15 +22,16 @@ var ErrClosed = errors.New("dist: cluster closed")
 
 // Link is one node's end of the duplex link over one incident edge. In
 // every round a node first sends one batch (possibly empty) on each of its
-// links, then receives one batch from each.
+// links, then receives one batch from each. A batch is a task sequence in
+// run-length form (load.Run).
 type Link interface {
 	// Send hands the node's batch for the round to the link. It must not
 	// wait for the peer to receive it: every node sends before any node
 	// receives.
-	Send(round int, tasks []load.Task) error
+	Send(round int, runs []load.Run) error
 	// Recv returns the peer's batch for the round. It must return an error
 	// rather than block forever when the link is broken.
-	Recv(round int) ([]load.Task, error)
+	Recv(round int) ([]load.Run, error)
 	// Close releases the link. The cluster calls it once.
 	Close() error
 }
@@ -53,23 +54,23 @@ type Transport interface {
 type chanTransport struct{}
 
 func (chanTransport) Link() (Link, Link, error) {
-	fwd, rev := make(chan []load.Task, 1), make(chan []load.Task, 1)
+	fwd, rev := make(chan []load.Run, 1), make(chan []load.Run, 1)
 	return chanLink{out: fwd, in: rev}, chanLink{out: rev, in: fwd}, nil
 }
 
 func (chanTransport) Close() error { return nil }
 
 type chanLink struct {
-	out chan<- []load.Task
-	in  <-chan []load.Task
+	out chan<- []load.Run
+	in  <-chan []load.Run
 }
 
-func (l chanLink) Send(_ int, tasks []load.Task) error {
-	l.out <- tasks
+func (l chanLink) Send(_ int, runs []load.Run) error {
+	l.out <- runs
 	return nil
 }
 
-func (l chanLink) Recv(int) ([]load.Task, error) { return <-l.in, nil }
+func (l chanLink) Recv(int) ([]load.Run, error) { return <-l.in, nil }
 
 func (chanLink) Close() error { return nil }
 
@@ -203,7 +204,8 @@ func (c *Cluster) serve(nd *node, start chan int) {
 
 // runRound executes one node's round: advance the private replica, decide
 // and send one batch per incident edge, then receive the neighbours'
-// batches. A link error does not stop the round: the node still sends and
+// batches, crediting each to its edge's discrete flow and pushing it onto
+// the pool. A link error does not stop the round: the node still sends and
 // receives on every other link, so no neighbour is left waiting on it.
 func (nd *node) runRound(g *graph.Graph, wmax int64, round int) error {
 	fl := nd.cont.Step()
@@ -216,14 +218,14 @@ func (nd *node) runRound(g *graph.Graph, wmax int64, round int) error {
 		}
 	}
 	for k, arc := range neigh {
-		tasks, err := nd.links[k].Recv(round)
+		runs, err := nd.links[k].Recv(round)
 		if err != nil {
 			if first == nil {
 				first = fmt.Errorf("node %d: recv from neighbour %d: %w", nd.id, arc.To, err)
 			}
 			continue
 		}
-		nd.st.Receive(k, arc, tasks)
+		nd.st.fD[k] -= int64(arc.Out) * nd.st.AddRuns(runs)
 	}
 	return first
 }

@@ -178,7 +178,7 @@ func (e *Engine) refreshTracker() {
 	t.dirty.forEach(func(i int) {
 		var r int64
 		if e.topo.Active(i) {
-			r = e.st[i].RealWeight()
+			r = e.pools[i].RealWeight()
 		}
 		old := t.r[i]
 		if r == old {
@@ -301,7 +301,7 @@ func (e *Engine) auditTracker() error {
 	for i := 0; i < e.topo.NodeSlots(); i++ {
 		var r int64
 		if e.topo.Active(i) {
-			r = e.st[i].RealWeight()
+			r = e.pools[i].RealWeight()
 			s := uint64(e.s[i])
 			r2.add(bits.Mul64(uint64(r), uint64(r)))
 			sr.add(bits.Mul64(s, uint64(r)))

@@ -25,7 +25,7 @@ func scanDiscrepancies(e *Engine) (maxAvg, maxMin, potential float64) {
 		if !e.topo.Active(i) {
 			continue
 		}
-		real := float64(e.st[i].RealWeight())
+		real := float64(e.pools[i].RealWeight())
 		m := real / float64(e.s[i])
 		hi = math.Max(hi, m)
 		lo = math.Min(lo, m)
@@ -48,7 +48,7 @@ func exactPotential(e *Engine) float64 {
 			continue
 		}
 		dev := new(big.Rat).Mul(avg, new(big.Rat).SetInt64(e.s[i]))
-		dev.Sub(new(big.Rat).SetInt64(e.st[i].RealWeight()), dev)
+		dev.Sub(new(big.Rat).SetInt64(e.pools[i].RealWeight()), dev)
 		sum.Add(sum, dev.Mul(dev, dev))
 	}
 	phi, _ := sum.Float64()

@@ -29,10 +29,20 @@
 // WithDeepAudit, lbserve -audit) runs it after every applied event, tests
 // invoke it at quiescence, and a ledger mismatch falls back to it for a
 // precise per-node diagnostic. The per-node hot path (send decisions via
-// core.Forward over dist.SendState pools) is
-// sharded across a bounded worker pool, so large graphs step in parallel;
-// results are bit-for-bit independent of the worker count, and on a static
-// topology with no events identical to core.FlowImitation over FOS.
+// core.Forward over dist.Pool pools) is sharded across a bounded worker
+// pool, so large graphs step in parallel; results are bit-for-bit
+// independent of the worker count, and on a static topology with no
+// events identical to core.FlowImitation over FOS.
+//
+// The pools are run-length: the engine holds one dist.Pool per node slot
+// by value, a LIFO stack of (weight, dummy, count) runs whose first run
+// lives inline, and each outbox slot holds its batch's first run inline
+// too. Equal tasks cannot be told apart, so a run stands for exactly the
+// task sequence it replaces: LIFO order is kept up to the order among
+// equal tasks, which is no order at all, and every send decision, pool
+// and snapshot byte is that of a per-task pool (EncodeState writes runs
+// expanded). With unit tokens a node's pool is one run, a round allocates
+// nothing, and a delivery is an O(1) merge into the receiver's top run.
 //
 // A streaming metrics ring records discrepancy, potential Φ, dummy-token
 // counts and per-round latency; cmd/lbserve exposes the ring, snapshots

@@ -56,12 +56,40 @@ type Config struct {
 	SnapshotEvery int
 }
 
-// outMsg is one round's batch on an edge: the receiving node slot and the
-// tasks. Exactly one endpoint (the sender) writes the slot during the
-// decide phase and exactly the receiver consumes it during delivery.
+// outMsg is one round's batch on an edge, in run-length form: its first
+// run inline (weight, dummy, count) and any further runs in more, plus
+// which endpoint receives it. A pool of equal tasks sends single-run
+// batches, so the slot needs no allocation; more keeps its backing array
+// across rounds once an edge has carried a longer batch. Exactly one
+// endpoint (the sender) writes the slot during the decide phase and
+// exactly the receiver consumes it during delivery; count 0 marks an
+// empty slot.
 type outMsg struct {
-	to    int
-	tasks []load.Task
+	weight, count int64
+	more          *load.Runs
+	dummy         bool
+	// toV is set when the edge's V endpoint receives the batch.
+	toV bool
+}
+
+// Add implements core.Sink: it appends r to the batch.
+func (m *outMsg) Add(r load.Run) {
+	switch {
+	case m.count == 0:
+		m.weight, m.dummy, m.count = r.Weight, r.Dummy, r.Count
+	case m.more == nil:
+		m.more = &load.Runs{r}
+	default:
+		m.more.Add(r)
+	}
+}
+
+// reset empties the slot, keeping more's backing array.
+func (m *outMsg) reset() {
+	m.count = 0
+	if m.more != nil {
+		*m.more = (*m.more)[:0]
+	}
 }
 
 // Engine runs Algorithm 1 as an always-on, event-driven runtime: a
@@ -73,10 +101,11 @@ type outMsg struct {
 // indexed by the stable node/edge slots of graph.Dynamic; a topology
 // change rebuilds only the affected neighbourhood (the departing node's
 // incident edges, the α of edges whose endpoint degrees changed). Task
-// pools are dist.SendState values, and the per-edge send rule is
-// core.Forward — the same code path as the centralized and distributed
-// executions, so on a static topology with no events the engine is
-// bit-for-bit identical to core.FlowImitation over FOS with PolicyLIFO.
+// pools are run-length dist.Pool values held in one slice, and the
+// per-edge send rule is core.Forward — the same code path as the
+// centralized and distributed executions, so on a static topology with no
+// events the engine is bit-for-bit identical to core.FlowImitation over
+// FOS with PolicyLIFO.
 //
 // An Engine is not safe for concurrent use; the HTTP server serializes
 // access. The exceptions are the internally locked read surfaces —
@@ -88,9 +117,9 @@ type Engine struct {
 	pool *workerPool
 
 	// Per node slot.
-	s  []int64
-	x  []float64
-	st []*dist.SendState
+	s     []int64
+	x     []float64
+	pools []dist.Pool
 
 	// Per edge slot.
 	alpha  []float64
@@ -115,7 +144,7 @@ type Engine struct {
 	eventsApplied  int64
 
 	// The incremental conservation ledger: ledReal and ledTotal aggregate
-	// the dist.SendState weight counters over the active pools, ledCreated
+	// the dist.Pool weight counters over the active pools, ledCreated
 	// is the cumulative dummy weight ever drawn (departed nodes and
 	// imported dummies included). Every event application folds the pool
 	// counter deltas of the pools it touched into the ledger in O(1), and
@@ -245,7 +274,7 @@ func New(cfg Config) (*Engine, error) {
 		pool:        newWorkerPool(workers),
 		s:           make([]int64, g.N()),
 		x:           make([]float64, g.N()),
-		st:          make([]*dist.SendState, g.N()),
+		pools:       make([]dist.Pool, g.N()),
 		fA:          make([]float64, g.M()),
 		fD:          make([]int64, g.M()),
 		net:         make([]float64, g.M()),
@@ -263,8 +292,8 @@ func New(cfg Config) (*Engine, error) {
 		e.speedSum += sp
 	}
 	for i := 0; i < g.N(); i++ {
-		e.st[i] = dist.NewSendState(tasks[i], 0)
-		total, real := e.st[i].Counters()
+		e.pools[i] = dist.NewPool(tasks[i])
+		total, real := e.pools[i].Counters()
 		e.x[i] = float64(total)
 		e.expectedReal += real
 		e.ledTotal += total
@@ -536,11 +565,11 @@ func (e *Engine) applyEvent(ev Event) error {
 // counter deltas into the conservation ledger. Every event-path pool
 // mutation goes through here so the fold cannot be forgotten. It returns
 // the non-dummy weight delta (negative for removals).
-func (e *Engine) mutateLedgered(i int, mutate func(st *dist.SendState)) (dReal int64) {
-	st := e.st[i]
-	total0, real0 := st.Counters()
-	mutate(st)
-	total, real := st.Counters()
+func (e *Engine) mutateLedgered(i int, mutate func(p *dist.Pool)) (dReal int64) {
+	p := &e.pools[i]
+	total0, real0 := p.Counters()
+	mutate(p)
+	total, real := p.Counters()
 	e.ledTotal += total - total0
 	e.ledReal += real - real0
 	e.trk.dirty.set(i)
@@ -551,7 +580,7 @@ func (e *Engine) mutateLedgered(i int, mutate func(st *dist.SendState)) (dReal i
 // counter deltas into the conservation ledger — the one way event
 // application may grow a pool.
 func (e *Engine) addTasksLedgered(i int, batch []load.Task) {
-	e.mutateLedgered(i, func(st *dist.SendState) { st.AddTasks(batch) })
+	e.mutateLedgered(i, func(p *dist.Pool) { p.AddTasks(batch) })
 }
 
 func (e *Engine) applyArrival(ev Event) error {
@@ -592,7 +621,7 @@ func (e *Engine) applyCompletion(ev Event) error {
 	}
 	// RemoveNewestReal touches only non-dummy tasks, so the ledger's real
 	// delta is exactly the weight completed.
-	w := -e.mutateLedgered(ev.Node, func(st *dist.SendState) { st.RemoveNewestReal(ev.Count) })
+	w := -e.mutateLedgered(ev.Node, func(p *dist.Pool) { p.RemoveNewestReal(ev.Count) })
 	e.x[ev.Node] -= float64(w)
 	e.expectedReal -= w
 	e.gateWakeNode(ev.Node)
@@ -626,7 +655,7 @@ func (e *Engine) applyJoin(ev Event) (int, error) {
 	e.speedSum += speed
 	e.trackJoin(slot)
 	e.x[slot] = 0
-	e.st[slot] = dist.NewSendState(nil, 0)
+	e.pools[slot] = dist.Pool{}
 	for _, p := range ev.Peers {
 		id, err := e.topo.AddEdge(slot, p)
 		if err != nil {
@@ -653,9 +682,9 @@ func (e *Engine) applyLeave(ev Event) error {
 	// counter survives for retirement below); the ledger gives the weight
 	// back as the redistribution buckets land on the recipients, so a
 	// dropped bucket shows up as a ledger deficit at the batch boundary.
-	var tasks []load.Task
-	e.mutateLedgered(node, func(st *dist.SendState) { tasks = st.Drain() })
-	e.retiredDummies += e.st[node].Dummies()
+	var runs []load.Run
+	e.mutateLedgered(node, func(p *dist.Pool) { runs = p.Drain() })
+	e.retiredDummies += e.pools[node].Dummies()
 	removed, err := e.topo.RemoveNode(node)
 	if err != nil {
 		return err
@@ -673,20 +702,32 @@ func (e *Engine) applyLeave(ev Event) error {
 		// slot so nothing is lost.
 		recipients = e.topo.ActiveNodes()[:1]
 	}
-	buckets := make([][]load.Task, len(recipients))
-	for k, q := range tasks {
-		r := k % len(recipients)
-		buckets[r] = append(buckets[r], q)
+	// Deal the pool out task by task, bottom first: the k-th task goes to
+	// recipient k mod R. The tasks of one run that land on one recipient
+	// form a run of their own.
+	nr := int64(len(recipients))
+	buckets := make([]load.Runs, len(recipients))
+	var off int64
+	for _, run := range runs {
+		for r := range buckets {
+			// The first task of the run dealt to r, counted from the run's
+			// start; every nr-th task after it follows.
+			first := (int64(r) - off%nr + nr) % nr
+			if first < run.Count {
+				buckets[r].Add(load.Run{Weight: run.Weight, Dummy: run.Dummy, Count: (run.Count-first-1)/nr + 1})
+			}
+		}
+		off += run.Count
 	}
 	share := e.x[node] / float64(len(recipients))
 	for r, b := range buckets {
 		if len(b) > 0 {
-			e.addTasksLedgered(recipients[r], b)
+			e.mutateLedgered(recipients[r], func(p *dist.Pool) { p.AddRuns(b) })
 		}
 		e.x[recipients[r]] += share
 	}
 	e.x[node] = 0
-	e.st[node] = nil
+	e.pools[node] = dist.Pool{}
 	e.speedSum -= e.s[node]
 	e.refreshAlphas(recipients)
 	return nil
@@ -778,7 +819,7 @@ func (e *Engine) growNode(slot int) {
 	if slot == len(e.s) {
 		e.s = append(e.s, 0)
 		e.x = append(e.x, 0)
-		e.st = append(e.st, nil)
+		e.pools = append(e.pools, dist.Pool{})
 		e.growGateNode(slot)
 		e.growTracker(slot)
 	}
@@ -844,21 +885,22 @@ func (e *Engine) AuditFull() error {
 		if !e.topo.Active(i) {
 			continue
 		}
-		st := e.st[i]
+		p := &e.pools[i]
 		var t, r int64
-		for _, q := range st.Tasks() {
-			t += q.Weight
-			if !q.Dummy {
-				r += q.Weight
+		for k := 0; k < p.NumRuns(); k++ {
+			run := p.Run(k)
+			t += run.Weight * run.Count
+			if !run.Dummy {
+				r += run.Weight * run.Count
 			}
 		}
-		if t != st.TotalWeight() || r != st.RealWeight() {
+		if t != p.TotalWeight() || r != p.RealWeight() {
 			return fmt.Errorf("node %d: pool holds total=%d real=%d but counters say total=%d real=%d",
-				i, t, r, st.TotalWeight(), st.RealWeight())
+				i, t, r, p.TotalWeight(), p.RealWeight())
 		}
 		total += t
 		real += r
-		created += st.Dummies()
+		created += p.Dummies()
 	}
 	if total != e.ledTotal || real != e.ledReal || created != e.ledCreated {
 		return fmt.Errorf("ledger drift: pools hold total=%d real=%d created=%d but ledger says total=%d real=%d created=%d",
@@ -975,8 +1017,8 @@ func (e *Engine) Snapshot(includeLoads bool) Snapshot {
 		snap.Loads = make(load.Vector, len(snap.NodeIDs))
 		snap.RealLoads = make(load.Vector, len(snap.NodeIDs))
 		for k, i := range snap.NodeIDs {
-			snap.Loads[k] = e.st[i].TotalWeight()
-			snap.RealLoads[k] = e.st[i].RealWeight()
+			snap.Loads[k] = e.pools[i].TotalWeight()
+			snap.RealLoads[k] = e.pools[i].RealWeight()
 		}
 	}
 	return snap
@@ -996,7 +1038,7 @@ func (e *Engine) ExportTasks() (*graph.Graph, load.Speeds, load.TaskDist, error)
 	d := make(load.TaskDist, len(slots))
 	for k, slot := range slots {
 		s[k] = e.s[slot]
-		d[k] = append([]load.Task(nil), e.st[slot].Tasks()...)
+		d[k] = e.pools[slot].AppendTasks(nil)
 	}
 	return g, s, d, nil
 }

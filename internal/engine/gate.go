@@ -75,7 +75,7 @@ import (
 // bitmaps (one bit per edge slot plus a summary bit per 64-bit word,
 // double-buffered current/pending, and one node bitmap that deduplicates
 // the worklist) and a compact reused hot-node slice, in the spirit of the
-// dist.SendState pool reuse. Word order gives the serial phases the
+// engine's reused outbox slots. Word order gives the serial phases the
 // ascending edge-slot iteration they need for bit-identical float
 // accumulation; the per-node phases are independent of node order.
 
@@ -465,14 +465,14 @@ func (e *Engine) updateWord(lo, hi int) {
 	x, net, outbox := e.x, e.net[lo:hi], e.outbox[lo:hi]
 	track := e.gate.track
 	for k := range net {
-		sent := outbox[k].tasks != nil
+		sent := outbox[k].count != 0
 		n := net[k]
 		if !sent && n == 0 {
 			continue
 		}
 		u, v := e.topo.EdgeEndpoints(lo + k)
 		if sent {
-			outbox[k].tasks = nil
+			outbox[k].reset()
 			e.trk.dirty.set(u)
 			e.trk.dirty.set(v)
 		}
@@ -524,9 +524,9 @@ func (e *Engine) decideNode(k int) {
 	if !e.topo.Active(i) {
 		return
 	}
-	st := e.st[i]
-	st.BeginRound()
-	dummies0 := st.Dummies()
+	p := &e.pools[i]
+	p.BeginRound()
+	dummies0 := p.Dummies()
 	for _, a := range e.topo.Neighbors(i) {
 		g := e.gap[a.Edge]
 		if a.Out < 0 {
@@ -535,24 +535,24 @@ func (e *Engine) decideNode(k int) {
 		if g < e.roundWmaxF {
 			continue
 		}
-		var batch []load.Task
-		sent := core.Forward(g, e.wmax, st.Take, func(q load.Task) { batch = append(batch, q) })
-		e.fD[a.Edge] += int64(a.Out) * sent
-		e.outbox[a.Edge] = outMsg{to: a.To, tasks: batch}
+		m := &e.outbox[a.Edge]
+		m.toV = a.Out > 0
+		e.fD[a.Edge] += int64(a.Out) * core.Forward(g, e.wmax, p, m)
 	}
 	// Dummy draws are the only way a round changes total pool weight
 	// (task forwards conserve it: every batch written here is consumed by
 	// exactly its receiver in the delivery phase). Nodes that drew none —
 	// the steady path — pay nothing.
-	if d := st.Dummies() - dummies0; d != 0 {
+	if d := p.Dummies() - dummies0; d != 0 {
 		e.roundDummies.Add(d)
 	}
 }
 
 // deliverNode is phase 3 for one hot-worklist index: consume the batches
 // addressed to node i. Every slot was empty when the round began, so each
-// batch found here was written by this round's decide phase. Bound once
-// as e.deliverFn.
+// batch found here was written by this round's decide phase. The first
+// run of a batch merges into the top of i's pool when their tasks are
+// equal, so a single-run batch costs O(1). Bound once as e.deliverFn.
 //
 //lb:hotpath
 func (e *Engine) deliverNode(k int) {
@@ -560,10 +560,14 @@ func (e *Engine) deliverNode(k int) {
 	if !e.topo.Active(i) {
 		return
 	}
+	p := &e.pools[i]
 	for _, a := range e.topo.Neighbors(i) {
 		m := &e.outbox[a.Edge]
-		if m.tasks != nil && m.to == i {
-			e.st[i].AddTasks(m.tasks)
+		if m.count != 0 && m.toV == (a.Out < 0) {
+			p.Add(load.Run{Weight: m.weight, Dummy: m.dummy, Count: m.count})
+			if m.more != nil {
+				p.AddRuns(*m.more)
+			}
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 func (e *Engine) referenceRound() {
 	edgeSlots := e.topo.EdgeSlots()
 	for id := 0; id < edgeSlots; id++ {
-		e.outbox[id].tasks = nil
+		e.outbox[id].reset()
 		u, v := e.topo.EdgeEndpoints(id)
 		if u < 0 {
 			e.net[id] = 0
@@ -43,7 +43,7 @@ func (e *Engine) referenceRound() {
 	}
 	e.pool.forEach(nodeSlots, e.deliverFullNode)
 	for id := 0; id < edgeSlots; id++ {
-		e.outbox[id].tasks = nil // delivered; the sweep starts from empty slots
+		e.outbox[id].reset() // delivered; the sweep starts from empty slots
 		if n := e.net[id]; n != 0 {
 			u, v := e.topo.EdgeEndpoints(id)
 			e.x[u] -= n
@@ -62,9 +62,9 @@ func (e *Engine) decideFullNode(i int) {
 	if !e.topo.Active(i) {
 		return
 	}
-	st := e.st[i]
-	st.BeginRound()
-	dummies0 := st.Dummies()
+	p := &e.pools[i]
+	p.BeginRound()
+	dummies0 := p.Dummies()
 	for _, a := range e.topo.Neighbors(i) {
 		g := e.gap[a.Edge]
 		if a.Out < 0 {
@@ -73,12 +73,11 @@ func (e *Engine) decideFullNode(i int) {
 		if g < e.roundWmaxF {
 			continue
 		}
-		var batch []load.Task
-		sent := core.Forward(g, e.wmax, st.Take, func(q load.Task) { batch = append(batch, q) })
-		e.fD[a.Edge] += int64(a.Out) * sent
-		e.outbox[a.Edge] = outMsg{to: a.To, tasks: batch}
+		m := &e.outbox[a.Edge]
+		m.toV = a.Out > 0
+		e.fD[a.Edge] += int64(a.Out) * core.Forward(g, e.wmax, p, m)
 	}
-	if d := st.Dummies() - dummies0; d != 0 {
+	if d := p.Dummies() - dummies0; d != 0 {
 		e.roundDummies.Add(d)
 	}
 }
@@ -90,8 +89,11 @@ func (e *Engine) deliverFullNode(i int) {
 	}
 	for _, a := range e.topo.Neighbors(i) {
 		m := &e.outbox[a.Edge]
-		if m.tasks != nil && m.to == i {
-			e.st[i].AddTasks(m.tasks)
+		if m.count != 0 && m.toV == (a.Out < 0) {
+			e.pools[i].Add(load.Run{Weight: m.weight, Dummy: m.dummy, Count: m.count})
+			if m.more != nil {
+				e.pools[i].AddRuns(*m.more)
+			}
 		}
 	}
 }
@@ -479,7 +481,7 @@ func TestSweepEmptiesOutbox(t *testing.T) {
 			t.Fatalf("%s: %d hot edges, want %d", where, sweep.HotEdges(), wantHot)
 		}
 		for id := range sweep.outbox {
-			if sweep.outbox[id].tasks != nil {
+			if sweep.outbox[id].count != 0 {
 				t.Fatalf("%s: edge %d still holds a batch after the round", where, id)
 			}
 		}

@@ -166,7 +166,7 @@ func TestEngineDummyDrawsAndRetirement(t *testing.T) {
 	// moves to the retired side of the ledger and its pool (dummy tokens
 	// included) drains to the survivor.
 	drew := 0
-	if e.st[1].Dummies() > e.st[0].Dummies() {
+	if e.pools[1].Dummies() > e.pools[0].Dummies() {
 		drew = 1
 	}
 	before := e.DummiesCreated()

@@ -109,18 +109,22 @@ func (e *Engine) EncodeState() []byte {
 		if !t.Active(i) {
 			continue
 		}
-		st := e.st[i]
+		p := &e.pools[i]
 		b = binary.AppendVarint(b, e.s[i])
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.x[i]))
-		b = binary.AppendVarint(b, st.Dummies())
-		tasks := st.Tasks()
-		b = binary.AppendUvarint(b, uint64(len(tasks)))
-		for _, q := range tasks {
-			u := uint64(q.Weight) << 1
-			if q.Dummy {
+		b = binary.AppendVarint(b, p.Dummies())
+		// The pool is written task by task, runs expanded, so the bytes
+		// do not depend on how the pool groups its tasks.
+		b = binary.AppendUvarint(b, uint64(p.Len()))
+		for k := 0; k < p.NumRuns(); k++ {
+			run := p.Run(k)
+			u := uint64(run.Weight) << 1
+			if run.Dummy {
 				u |= 1
 			}
-			b = binary.AppendUvarint(b, u)
+			for c := int64(0); c < run.Count; c++ {
+				b = binary.AppendUvarint(b, u)
+			}
 		}
 	}
 
@@ -154,8 +158,8 @@ func (e *Engine) encodedSize() int {
 	taskLen := uvarintLen(uint64(e.wmax)<<1 | 1)
 	for i := 0; i < nSlots; i++ {
 		if t.Active(i) {
-			n := len(e.st[i].Tasks())
-			size += varintLen(e.s[i]) + 8 + varintLen(e.st[i].Dummies()) + uvarintLen(uint64(n)) + n*taskLen
+			n := int(e.pools[i].Len())
+			size += varintLen(e.s[i]) + 8 + varintLen(e.pools[i].Dummies()) + uvarintLen(uint64(n)) + n*taskLen
 		}
 	}
 	for id := 0; id < eSlots; id++ {
@@ -349,7 +353,7 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 		topo:           topo,
 		s:              make([]int64, nSlots),
 		x:              make([]float64, nSlots),
-		st:             make([]*dist.SendState, nSlots),
+		pools:          make([]dist.Pool, nSlots),
 		alpha:          make([]float64, eSlots),
 		fA:             make([]float64, eSlots),
 		fD:             make([]int64, eSlots),
@@ -374,6 +378,7 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 
 	// Per-node section.
 	var checkSpeed int64
+	var tasks []load.Task // one decode buffer, reused across nodes
 	for i := 0; i < nSlots && r.err == nil; i++ {
 		if !gs.Active[i] {
 			continue
@@ -382,7 +387,7 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 		e.x[i] = r.f64()
 		dummies := r.varint()
 		nTasks := r.count(r.uvarint())
-		tasks := make([]load.Task, nTasks)
+		tasks = append(tasks[:0], make([]load.Task, nTasks)...)
 		for k := range tasks {
 			u := r.uvarint()
 			tasks[k] = load.Task{Weight: int64(u >> 1), Dummy: u&1 == 1}
@@ -397,7 +402,7 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 			r.fail("node %d has speed %d", i, e.s[i])
 			break
 		}
-		e.st[i] = dist.RestoreSendState(tasks, dummies)
+		e.pools[i] = dist.RestorePool(tasks, dummies)
 		checkSpeed += e.s[i]
 	}
 

@@ -165,11 +165,11 @@ func exportEncodeState(e *Engine) []byte {
 		if !a {
 			continue
 		}
-		st := e.st[i]
+		p := &e.pools[i]
 		b = binary.AppendVarint(b, e.s[i])
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.x[i]))
-		b = binary.AppendVarint(b, st.Dummies())
-		tasks := st.Tasks()
+		b = binary.AppendVarint(b, p.Dummies())
+		tasks := p.AppendTasks(nil)
 		b = binary.AppendUvarint(b, uint64(len(tasks)))
 		for _, q := range tasks {
 			u := uint64(q.Weight) << 1

@@ -10,14 +10,16 @@ import (
 )
 
 // LedgerFlow guards the O(1) conservation ledger: every weight-bearing
-// mutation of a dist.SendState pool must be reached through the ledgered
-// mutation helpers or the approved round phases, so pool weight can never
-// change without the corresponding ledger fold. The check walks the
-// package's static call graph: a guarded method call (or escaping method
-// value) is legal only when its enclosing declared function is approved,
-// or when it sits in a function literal passed directly to a conduit
-// (mutateLedgered, whose contract is exactly "run this mutation and fold
-// the counter deltas").
+// mutation of a dist.Pool must be reached through the ledgered mutation
+// helpers or the approved round phases, so pool weight can never change
+// without the corresponding ledger fold. The check walks the package's
+// static call graph: a guarded method call (or escaping method value) is
+// legal only when its enclosing declared function is approved, or when it
+// sits in a function literal passed directly to a conduit (mutateLedgered,
+// whose contract is exactly "run this mutation and fold the counter
+// deltas"). Handing the pool to a function as an interface that carries a
+// guarded method (core.Forward's core.Source, whose Take pops the pool)
+// counts as a guarded use too: the callee mutates the pool through it.
 type LedgerFlow struct {
 	policy LedgerPolicy
 	// seenApproved tracks which approved entries matched a declared
@@ -48,15 +50,15 @@ type LedgerPolicy struct {
 
 // DefaultLedgerPolicy is the production table: engine mutations flow
 // through mutateLedgered/addTasksLedgered or the decide and deliver phase
-// bodies; dist mutations through SendState's own implementation and the
-// per-node round.
+// bodies; dist mutations through Pool's own implementation and the
+// per-node round with its send decision.
 func DefaultLedgerPolicy() LedgerPolicy {
 	return LedgerPolicy{
 		GuardedPkg:  "internal/dist",
-		GuardedType: "SendState",
+		GuardedType: "Pool",
 		GuardedMethods: map[string]bool{
-			"AddTasks": true, "RemoveNewestReal": true, "Drain": true,
-			"Take": true, "take": true, "Receive": true, "DecideSends": true,
+			"Add": true, "AddRuns": true, "AddTasks": true,
+			"RemoveNewestReal": true, "Drain": true, "Take": true,
 		},
 		Approved: map[string]map[string]bool{
 			// The per-node phase bodies (bound as the round phases' shard
@@ -70,7 +72,8 @@ func DefaultLedgerPolicy() LedgerPolicy {
 				"deliverNode":      true,
 			},
 			"internal/dist": {
-				"runRound": true,
+				"runRound":    true,
+				"DecideSends": true,
 			},
 		},
 		Conduits: map[string]map[string]bool{
@@ -97,7 +100,7 @@ only sound if NO code path mutates pool weight without folding — a single
 bypassed AddTasks makes conservation drift silently until a distant batch
 boundary reports corruption with no culprit attached. This check computes,
 over the static call graph, that every call (or escaping method value) of a
-weight-bearing dist.SendState method is lexically reached through
+weight-bearing dist.Pool method is lexically reached through
 mutateLedgered/addTasksLedgered — whose contract is "mutate, then fold the
 counter deltas" — or one of the approved round phases, which fold their
 dummy draws at the round barrier. To add a new mutation path, route it
@@ -230,6 +233,17 @@ func (lf *LedgerFlow) checkFunc(pkg *Package, fd *ast.FuncDecl, approved, condui
 					"%s mutates pool weight outside the ledger: reached from %s, not from %s; route it through mutateLedgered/addTasksLedgered or an approved round phase",
 					m.Sel.Name, funcDisplayName(fd), approvedList(approved)))
 				return true
+			case *ast.CallExpr:
+				if funcApproved || inConduit {
+					return true
+				}
+				for _, arg := range lf.guardedArgs(pkg, m) {
+					pos := pkg.Fset.Position(arg.Pos())
+					out = append(out, diag(lf.Name(), pos,
+						"the pool is handed to %s as an interface with a weight-bearing method, outside the ledger: reached from %s, not from %s; route it through mutateLedgered/addTasksLedgered or an approved round phase",
+						types.ExprString(m.Fun), funcDisplayName(fd), approvedList(approved)))
+				}
+				return true
 			}
 			return true
 		})
@@ -256,6 +270,42 @@ func (lf *LedgerFlow) isGuardedUse(pkg *Package, sel *ast.SelectorExpr) bool {
 		return false
 	}
 	return lf.isGuardedRecvType(sig.Recv().Type())
+}
+
+// guardedArgs returns the arguments of call that convert a guarded pool
+// to an interface parameter whose method set holds a guarded method.
+func (lf *LedgerFlow) guardedArgs(pkg *Package, call *ast.CallExpr) []ast.Expr {
+	sig, ok := pkg.Info.TypeOf(call.Fun).(*types.Signature)
+	if !ok {
+		return nil // a conversion or a builtin
+	}
+	params := sig.Params()
+	var out []ast.Expr
+	for i, arg := range call.Args {
+		var pt types.Type
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			if call.Ellipsis.IsValid() {
+				continue
+			}
+			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+		case i < params.Len():
+			pt = params.At(i).Type()
+		default:
+			continue
+		}
+		iface, ok := pt.Underlying().(*types.Interface)
+		if !ok || !lf.isGuardedRecvType(pkg.Info.TypeOf(arg)) {
+			continue
+		}
+		for m := 0; m < iface.NumMethods(); m++ {
+			if lf.policy.GuardedMethods[iface.Method(m).Name()] {
+				out = append(out, arg)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // isGuardedReceiver reports whether fd is a method declared on the guarded

@@ -16,6 +16,7 @@ func TestLedgerFlowEngineGolden(t *testing.T) {
 		"applyRebalance",
 		"drainDeparted",
 		"forwardVia",
+		"forwardOutside",
 		"sneakyNested",
 	)
 	if extra := lf.Finish(); len(extra) != 0 {
@@ -24,12 +25,12 @@ func TestLedgerFlowEngineGolden(t *testing.T) {
 }
 
 // TestLedgerFlowDistGolden: the defining implementation is self-approved,
-// runRound is table-approved, and a free function leaking a mutation is
-// the violation.
+// runRound and DecideSends are table-approved, and free functions leaking
+// a mutation, by a call or through a Source, are the violations.
 func TestLedgerFlowDistGolden(t *testing.T) {
 	pkg := fixturePkg(t, "fixture/internal/dist")
 	lf := NewLedgerFlow(DefaultLedgerPolicy())
-	wantFuncs(t, pkg, lf.Run(pkg), "leakDrain")
+	wantFuncs(t, pkg, lf.Run(pkg), "leakDrain", "leakForward")
 }
 
 // TestLedgerFlowStaleApproval: a policy row naming a function that no

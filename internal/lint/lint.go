@@ -16,7 +16,7 @@
 //     environment and GOMAXPROCS reads in the deterministic packages except
 //     through injected-clock/seeded-generator patterns or a justified
 //     //lb:statefree directive.
-//   - ledgerflow: weight-bearing dist.SendState mutations (AddTasks,
+//   - ledgerflow: weight-bearing dist.Pool mutations (AddTasks,
 //     RemoveNewestReal, Drain, Take, ...) may only be reached from the
 //     ledgered mutation helpers and the approved round phases, computed
 //     over the package call graph.

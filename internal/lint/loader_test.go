@@ -71,7 +71,7 @@ func TestLoaderParsesAllTargets(t *testing.T) {
 }
 
 // TestLoaderCrossPackageTypes: fixture/internal/engine resolves
-// dist.SendState through export data — the zero-dependency spine of the
+// dist.Pool through export data — the zero-dependency spine of the
 // whole suite.
 func TestLoaderCrossPackageTypes(t *testing.T) {
 	pkg := fixturePkg(t, "fixture/internal/engine")

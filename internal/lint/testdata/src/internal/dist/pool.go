@@ -1,8 +1,8 @@
 // Package dist mirrors the production pool surface for ledgerflow's golden
-// tests: SendState carries the guarded weight-bearing method set, its own
-// implementation is self-approved, and runRound is the approved per-node
-// round. leakDrain is the violation: a free function in the defining
-// package is neither.
+// tests: Pool carries the guarded weight-bearing method set, its own
+// implementation is self-approved, and runRound and DecideSends are the
+// approved per-node round. leakDrain and leakForward are the violations:
+// free functions in the defining package are neither.
 package dist
 
 type Task struct {
@@ -10,81 +10,130 @@ type Task struct {
 	Dummy  bool
 }
 
+type Run struct {
+	Weight int64
+	Dummy  bool
+	Count  int64
+}
+
 type Arc struct{ Edge, Out, To int }
 
-// SendState is the fixture pool; the method names match the production
+// Source is the interface a send rule draws through; its Take is a
+// guarded method name, so handing a Pool over as a Source is a guarded
+// use.
+type Source interface {
+	Next() Run
+	Take(k int64)
+}
+
+// Forward stands in for core.Forward.
+func Forward(src Source) int64 {
+	r := src.Next()
+	src.Take(1)
+	return r.Weight
+}
+
+// Pool is the fixture pool; the method names match the production
 // guarded table.
-type SendState struct {
-	tasks []Task
+type Pool struct {
+	runs  []Run
 	total int64
 }
 
-func (st *SendState) AddTasks(ts []Task) {
-	st.tasks = append(st.tasks, ts...)
+// push is the unguarded building block the constructor may use.
+func (p *Pool) push(r Run) {
+	p.runs = append(p.runs, r)
+	p.total += r.Weight * r.Count
+}
+
+// NewPool builds a pool through push, never through a guarded method.
+func NewPool(ts []Task) Pool {
+	var p Pool
 	for _, t := range ts {
-		st.total += t.Weight
+		p.push(Run{Weight: t.Weight, Dummy: t.Dummy, Count: 1})
+	}
+	return p
+}
+
+// Add and AddRuns compose push — self-approved.
+func (p *Pool) Add(r Run) { p.push(r) }
+
+func (p *Pool) AddRuns(rs []Run) {
+	for _, r := range rs {
+		p.Add(r)
 	}
 }
 
-func (st *SendState) RemoveNewestReal() (Task, bool) {
-	for i := len(st.tasks) - 1; i >= 0; i-- {
-		if !st.tasks[i].Dummy {
-			t := st.tasks[i]
-			st.tasks = append(st.tasks[:i], st.tasks[i+1:]...)
-			st.total -= t.Weight
-			return t, true
+func (p *Pool) AddTasks(ts []Task) {
+	for _, t := range ts {
+		p.push(Run{Weight: t.Weight, Dummy: t.Dummy, Count: 1})
+	}
+}
+
+func (p *Pool) RemoveNewestReal(max int) {
+	for i := len(p.runs) - 1; i >= 0 && max > 0; i-- {
+		if !p.runs[i].Dummy {
+			p.total -= p.runs[i].Weight * p.runs[i].Count
+			p.runs = append(p.runs[:i], p.runs[i+1:]...)
+			max--
 		}
 	}
-	return Task{}, false
 }
 
-func (st *SendState) Drain() []Task {
-	out := st.tasks
-	st.tasks = nil
-	st.total = 0
+func (p *Pool) Drain() []Run {
+	out := p.runs
+	p.runs = nil
+	p.total = 0
 	return out
 }
 
-// Take draws via the unexported fast path — self-approved: the defining
-// implementation may compose its own guarded methods.
-func (st *SendState) Take() (int64, bool) {
-	return st.take()
-}
-
-func (st *SendState) take() (int64, bool) {
-	if len(st.tasks) == 0 {
-		return 0, false
+func (p *Pool) Next() Run {
+	if len(p.runs) == 0 {
+		return Run{Weight: 1, Dummy: true, Count: 1}
 	}
-	t := st.tasks[len(st.tasks)-1]
-	st.tasks = st.tasks[:len(st.tasks)-1]
-	st.total -= t.Weight
-	return t.Weight, true
+	return p.runs[len(p.runs)-1]
 }
 
-// Receive appends a delivered batch — again via a guarded sibling.
-func (st *SendState) Receive(k int, a Arc, ts []Task) {
-	st.AddTasks(ts)
+func (p *Pool) Take(k int64) {
+	if len(p.runs) == 0 {
+		return
+	}
+	top := &p.runs[len(p.runs)-1]
+	top.Count -= k
+	p.total -= top.Weight * k
+	if top.Count == 0 {
+		p.runs = p.runs[:len(p.runs)-1]
+	}
 }
 
-func (st *SendState) DecideSends(neigh []Arc, fl []float64, wmax int64) [][]Task {
-	out := make([][]Task, len(neigh))
+// SendState embeds the pool, like the production one.
+type SendState struct {
+	Pool
+	fD []int64
+}
+
+// DecideSends is approved: it hands the pool to Forward as a Source.
+func (st *SendState) DecideSends(neigh []Arc) {
 	for k := range neigh {
-		if w, ok := st.take(); ok {
-			out[k] = []Task{{Weight: w}}
-		}
+		st.fD[k] += Forward(&st.Pool)
 	}
-	return out
 }
 
 // runRound is the approved per-node round call site.
-func runRound(st *SendState, neigh []Arc, fl []float64, wmax int64) {
-	batches := st.DecideSends(neigh, fl, wmax)
-	for k, a := range neigh {
-		st.Receive(k, a, batches[k])
+func runRound(st *SendState, neigh []Arc, in [][]Run) {
+	st.DecideSends(neigh)
+	for k := range neigh {
+		st.AddRuns(in[k])
 	}
 }
 
-// leakDrain bypasses the ledger: not a SendState method, not approved.
-func leakDrain(st *SendState) []Task {
-	return st.Drain()
+// leakDrain bypasses the ledger: not a Pool method, not approved.
+func leakDrain(p *Pool) []Run {
+	return p.Drain()
+}
+
+// leakForward bypasses the ledger too: Forward pops the pool through its
+// Source interface.
+func leakForward(p *Pool) int64 {
+	return Forward(p)
 }

@@ -19,6 +19,44 @@ type Task struct {
 	Dummy  bool
 }
 
+// Run is Count consecutive tasks of equal Weight and Dummy flag: the
+// run-length form of a task sequence. Algorithm 1 looks at nothing but a
+// task's weight and dummy flag, so equal tasks cannot be told apart, and a
+// run expands to exactly the task sequence it stands for.
+type Run struct {
+	Weight int64
+	Dummy  bool
+	Count  int64
+}
+
+// Task returns the task the run repeats.
+func (r Run) Task() Task { return Task{Weight: r.Weight, Dummy: r.Dummy} }
+
+// AppendTo appends the run's Count tasks to dst.
+func (r Run) AppendTo(dst []Task) []Task {
+	for c := int64(0); c < r.Count; c++ {
+		dst = append(dst, r.Task())
+	}
+	return dst
+}
+
+// Runs is a task sequence in run-length form, oldest run first.
+type Runs []Run
+
+// Add appends r, merging it into the last run when their tasks are equal,
+// so that a sequence built by Add never holds two equal runs side by side.
+// Runs of no tasks are dropped.
+func (rs *Runs) Add(r Run) {
+	if r.Count <= 0 {
+		return
+	}
+	if n := len(*rs); n > 0 && (*rs)[n-1].Task() == r.Task() {
+		(*rs)[n-1].Count += r.Count
+		return
+	}
+	*rs = append(*rs, r)
+}
+
 // Speeds holds the processing speed s_i >= 1 of every node. The paper
 // normalizes the minimum speed to 1; Validate enforces s_i >= 1.
 type Speeds []int64

@@ -87,10 +87,11 @@ func (t *TCPTransport) dial() (net.Conn, net.Conn, error) {
 // Close implements dist.Transport.
 func (t *TCPTransport) Close() error { return t.ln.Close() }
 
-// frame is the wire message: one round's task batch over one directed link.
+// frame is the wire message: one round's task batch over one directed
+// link, in run-length form.
 type frame struct {
 	Round int
-	Tasks []load.Task
+	Runs  []load.Run
 }
 
 // link is one node's end of a conn, speaking gob frames. Send hands the
@@ -114,17 +115,17 @@ func newLink(conn net.Conn) *link {
 
 // Send implements dist.Link. It returns the previous round's write error;
 // that write has completed, since the peer received it in that round.
-func (l *link) Send(round int, tasks []load.Task) error {
+func (l *link) Send(round int, runs []load.Run) error {
 	if err := <-l.sent; err != nil {
 		l.sent <- err
 		return err
 	}
-	go func() { l.sent <- l.enc.Encode(frame{Round: round, Tasks: tasks}) }()
+	go func() { l.sent <- l.enc.Encode(frame{Round: round, Runs: runs}) }()
 	return nil
 }
 
 // Recv implements dist.Link, checking that the frame belongs to the round.
-func (l *link) Recv(round int) ([]load.Task, error) {
+func (l *link) Recv(round int) ([]load.Run, error) {
 	var in frame
 	if err := l.dec.Decode(&in); err != nil {
 		return nil, err
@@ -132,7 +133,7 @@ func (l *link) Recv(round int) ([]load.Task, error) {
 	if in.Round != round {
 		return nil, fmt.Errorf("netsim: protocol: got round %d frame, want %d", in.Round, round)
 	}
-	return in.Tasks, nil
+	return in.Runs, nil
 }
 
 // Close implements dist.Link: it closes the conn, which fails any write

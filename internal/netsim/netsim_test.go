@@ -232,7 +232,7 @@ func TestLinkRejectsWrongRound(t *testing.T) {
 	la, lb := newLink(a), newLink(b)
 	defer la.Close()
 	defer lb.Close()
-	if err := la.Send(5, []load.Task{{Weight: 2}}); err != nil {
+	if err := la.Send(5, []load.Run{{Weight: 2, Count: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := lb.Recv(4); err == nil || !strings.Contains(err.Error(), "protocol") {
