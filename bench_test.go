@@ -16,6 +16,7 @@ package discretelb_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	discretelb "repro"
@@ -629,13 +630,24 @@ func BenchmarkEngineStepMillion(b *testing.B) {
 // its first round, on the 1000×1000 torus of BenchmarkEngineStepMillion:
 // build is graph.Torus, then NewTokens (8 tokens per node), then
 // engine.New; hash is the StateHash fingerprint of the result, the same
-// encoding a WAL snapshot writes.
+// encoding a WAL snapshot writes; live is the heap the built engine holds
+// once a full GC has freed the set-up garbage (live_MiB, HeapAlloc).
 func BenchmarkEngineSetupMillion(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			tokenTorusEngine(b, 1000, 1000).Close()
 		}
+	})
+	b.Run("live", func(b *testing.B) {
+		var ms runtime.MemStats
+		for b.Loop() {
+			eng := tokenTorusEngine(b, 1000, 1000)
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			eng.Close()
+		}
+		b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live_MiB")
 	})
 	b.Run("hash", func(b *testing.B) {
 		eng := tokenTorusEngine(b, 1000, 1000)

@@ -45,7 +45,11 @@ import (
 type (
 	// Graph is an immutable simple undirected network.
 	Graph = graph.Graph
-	// Arc is one direction of an edge in an adjacency list.
+	// Arc is one direction of an edge in an adjacency list: the neighbour
+	// and the edge id as int32s, 8 bytes. Its direction is derived, not
+	// stored: a.Up(i) holds, and a.Dir(i) is +1, when the arc in node i's
+	// list runs from U(e) to V(e), which is when a.To > i. A graph holds
+	// at most math.MaxInt32 nodes and edges.
 	Arc = graph.Arc
 	// Speeds holds per-node processing speeds (>= 1).
 	Speeds = load.Speeds

@@ -184,7 +184,7 @@ func (p *ExcessToken) Step() {
 		var floorSum int64
 		ySum := 0.0
 		for _, a := range neigh {
-			y := p.rate(a.Edge, i) * float64(p.x[i])
+			y := p.rate(int(a.Edge), i) * float64(p.x[i])
 			amt := int64(y)
 			floorSum += amt
 			ySum += y

@@ -45,8 +45,8 @@ func (f *Flows) Graph() *graph.Graph { return f.g }
 func (f *Flows) OutDemand(i int) float64 {
 	demand := 0.0
 	for _, a := range f.g.Neighbors(i) {
-		idx := 2 * a.Edge
-		if a.Out < 0 {
+		idx := 2 * int(a.Edge)
+		if !a.Up(i) {
 			idx++
 		}
 		demand += f.Y[idx]

@@ -213,9 +213,9 @@ func TestLemma2Property(t *testing.T) {
 			for i := 0; i < g.N(); i++ {
 				outNet := 0.0
 				for _, arc := range g.Neighbors(i) {
-					idxOut := 2 * arc.Edge
-					idxIn := 2*arc.Edge + 1
-					if arc.Out < 0 {
+					idxOut := 2 * int(arc.Edge)
+					idxIn := idxOut + 1
+					if arc.Dir(i) < 0 {
 						idxOut, idxIn = idxIn, idxOut
 					}
 					net := fl.Y[idxOut] - fl.Y[idxIn]

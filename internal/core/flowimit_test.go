@@ -150,10 +150,10 @@ func TestLemma6Identity(t *testing.T) {
 		for i := 0; i < g.N(); i++ {
 			sumErr := 0.0
 			for _, arc := range g.Neighbors(i) {
-				e := fi.FlowError(arc.Edge)
+				e := fi.FlowError(int(arc.Edge))
 				// e_{i,j} is the deviation seen from i: flip the sign when
 				// i is the V-endpoint.
-				if arc.Out < 0 {
+				if arc.Dir(i) < 0 {
 					e = -e
 				}
 				sumErr += e

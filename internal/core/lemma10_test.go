@@ -34,8 +34,8 @@ func TestLemma10NodeErrorSums(t *testing.T) {
 			for i := 0; i < g.N(); i++ {
 				sum := 0.0
 				for _, arc := range g.Neighbors(i) {
-					e := ri.FlowError(arc.Edge)
-					if arc.Out < 0 {
+					e := ri.FlowError(int(arc.Edge))
+					if arc.Dir(i) < 0 {
 						e = -e
 					}
 					sum += e
@@ -70,8 +70,8 @@ func TestLemma10ErrorSumsMeanZero(t *testing.T) {
 		ri.Step()
 		for i := 0; i < g.N(); i++ {
 			for _, arc := range g.Neighbors(i) {
-				e := ri.FlowError(arc.Edge)
-				if arc.Out < 0 {
+				e := ri.FlowError(int(arc.Edge))
+				if arc.Dir(i) < 0 {
 					e = -e
 				}
 				sums[i] += e

@@ -171,8 +171,8 @@ func NewClusterOver(g *graph.Graph, s load.Speeds, d load.TaskDist, maker Proces
 		neigh := g.Neighbors(i)
 		nd := &node{id: i, cont: replica, st: NewSendState(d[i], len(neigh)), links: make([]Link, len(neigh))}
 		for k, arc := range neigh {
-			end := 2 * arc.Edge
-			if arc.Out < 0 {
+			end := 2 * int(arc.Edge)
+			if !arc.Up(i) {
 				end++
 			}
 			nd.links[k] = c.links[end]
@@ -210,7 +210,7 @@ func (c *Cluster) serve(nd *node, start chan int) {
 func (nd *node) runRound(g *graph.Graph, wmax int64, round int) error {
 	fl := nd.cont.Step()
 	neigh := g.Neighbors(nd.id)
-	batches := nd.st.DecideSends(neigh, fl, wmax)
+	batches := nd.st.DecideSends(nd.id, neigh, fl, wmax)
 	var first error
 	for k, arc := range neigh {
 		if err := nd.links[k].Send(round, batches[k]); err != nil && first == nil {
@@ -225,7 +225,7 @@ func (nd *node) runRound(g *graph.Graph, wmax int64, round int) error {
 			}
 			continue
 		}
-		nd.st.fD[k] -= int64(arc.Out) * nd.st.AddRuns(runs)
+		nd.st.fD[k] -= int64(arc.Dir(nd.id)) * nd.st.AddRuns(runs)
 	}
 	return first
 }

@@ -51,20 +51,22 @@ func NewSendState(initial []load.Task, degree int) *SendState {
 // (which is increasing edge-index order, matching the centralized global
 // edge loop) and builds one batch of runs per arc (nil when nothing is
 // sent), popping tasks LIFO from the round-start pool and drawing dummy
-// tokens when the pool runs dry. batches[k] belongs on arc neigh[k].
-func (st *SendState) DecideSends(neigh []graph.Arc, fl NetFlows, wmax int64) [][]load.Run {
+// tokens when the pool runs dry. i is the node and neigh its adjacency
+// list; batches[k] belongs on arc neigh[k].
+func (st *SendState) DecideSends(i int, neigh []graph.Arc, fl NetFlows, wmax int64) [][]load.Run {
 	for k, arc := range neigh {
-		st.fA[k] += fl.Net(arc.Edge)
+		st.fA[k] += fl.Net(int(arc.Edge))
 	}
 	st.BeginRound()
 	batches := make([][]load.Run, len(neigh))
 	for k, arc := range neigh {
+		dir := arc.Dir(i)
 		gap := st.fA[k] - float64(st.fD[k])
-		if arc.Out < 0 {
+		if dir < 0 {
 			gap = -gap
 		}
 		sent := core.Forward(gap, wmax, &st.Pool, (*load.Runs)(&batches[k]))
-		st.fD[k] += int64(arc.Out) * sent
+		st.fD[k] += int64(dir) * sent
 	}
 	return batches
 }

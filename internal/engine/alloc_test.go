@@ -53,6 +53,28 @@ func TestHotRoundAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestStepAllocatesNothing: a full Step at SampleEvery 1, lbserve's
+// default, allocates nothing on a fully hot torus: the round as above,
+// then the metrics sample, whose exact Φ divides on reused scratch
+// integers (quoFloat64), and the ring, gauge and flight-recorder writes.
+func TestStepAllocatesNothing(t *testing.T) {
+	e := hotTorus(t)
+	if e.sampleEvery != 1 {
+		t.Fatalf("sampleEvery %d, want 1", e.sampleEvery)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if e.HotNodes() != e.NumNodes() {
+		t.Fatalf("%d of %d nodes hot", e.HotNodes(), e.NumNodes())
+	}
+	if allocs != 0 {
+		t.Errorf("a Step on a hot torus allocates %v times, want 0", allocs)
+	}
+}
+
 // TestCompletionAllocatesNothing: applying a completion walks the pool's
 // runs in place.
 func TestCompletionAllocatesNothing(t *testing.T) {

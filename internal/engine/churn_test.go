@@ -29,10 +29,10 @@ func leaveKeepsConnected(d *graph.Dynamic, cand int) bool {
 		u := queue[0]
 		queue = queue[1:]
 		for _, a := range d.Neighbors(u) {
-			if !seen[a.To] {
-				seen[a.To] = true
+			if to := int(a.To); !seen[to] {
+				seen[to] = true
 				count++
-				queue = append(queue, a.To)
+				queue = append(queue, to)
 			}
 		}
 	}
@@ -49,13 +49,14 @@ func edgeRemovalKeepsConnected(d *graph.Dynamic, u, v int) bool {
 		w := queue[0]
 		queue = queue[1:]
 		for _, a := range d.Neighbors(w) {
-			if (w == u && a.To == v) || (w == v && a.To == u) {
+			to := int(a.To)
+			if (w == u && to == v) || (w == v && to == u) {
 				continue
 			}
-			if !seen[a.To] {
-				seen[a.To] = true
+			if !seen[to] {
+				seen[to] = true
 				count++
-				queue = append(queue, a.To)
+				queue = append(queue, to)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 )
@@ -58,7 +59,6 @@ type tracker struct {
 
 	// Scratch for the exact Φ evaluation, reused across samples.
 	w, s, den, num, x, part, p, q big.Int
-	phi                           big.Rat
 }
 
 // u128 is an unsigned 128-bit integer.
@@ -272,7 +272,8 @@ func (e *Engine) extremes() (maxAvg, maxMin float64) {
 
 // potential returns Φ = Σ(r_i − s_i·W/S)² of the cached weights, exact up
 // to one final rounding: S²·Φ = S²Σr² − 2WSΣs·r + W²Σs² = Σ(S·r_i − W·s_i)²
-// is evaluated exactly and divided by S² once. Callers refresh first.
+// is evaluated exactly and divided by S² once (quoFloat64). Callers refresh
+// first. Once the scratch integers have grown, it allocates nothing.
 func (e *Engine) potential() float64 {
 	W, S := e.expectedReal, e.speedSum
 	if S == 0 {
@@ -287,8 +288,36 @@ func (e *Engine) potential() float64 {
 	t.num.Sub(&t.num, t.q.Mul(&t.p, &t.s).Lsh(&t.q, 1))
 	t.p.Mul(t.sumS2.setBig(&t.x, &t.part), &t.w)
 	t.num.Add(&t.num, t.q.Mul(&t.p, &t.w))
-	phi, _ := t.phi.SetFrac(&t.num, &t.den).Float64() // the nearest float64
-	return phi
+	return quoFloat64(&t.num, &t.den, &t.x, &t.q, &t.part)
+}
+
+// quoFloat64 returns num/den for num ≥ 0 and den > 0, rounded once to the
+// nearest float64 with ties to even, the value big.Rat's Float64 returns,
+// using z, q and r as scratch. The shift k makes the quotient
+// q = ⌊num·2^k/den⌋ 55 or 56 bits long, two or three bits past float64's
+// 53; any remainder, including bits a right shift drops, is ORed into bit
+// 0 as a sticky bit, so float64(q) rounds exactly as the true quotient
+// would. Ldexp then scales without rounding: Φ's quotient lies in
+// [2^-126, 2^127), far from the subnormal and overflow ranges.
+func quoFloat64(num, den, z, q, r *big.Int) float64 {
+	if num.Sign() == 0 {
+		return 0
+	}
+	// num/den lies in [2^(a−b−1), 2^(a−b+1)) for bit lengths a and b.
+	k := 55 + den.BitLen() - num.BitLen()
+	sticky := false
+	if k >= 0 {
+		z.Lsh(num, uint(k))
+	} else {
+		z.Rsh(num, uint(-k))
+		sticky = num.TrailingZeroBits() < uint(-k)
+	}
+	q.QuoRem(z, den, r)
+	m := q.Uint64()
+	if sticky || r.Sign() != 0 {
+		m |= 1
+	}
+	return math.Ldexp(float64(m), -k)
 }
 
 // auditTracker recounts the tracker from the pools and fails on any

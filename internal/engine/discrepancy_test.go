@@ -158,3 +158,62 @@ func TestTrackerMatchesRecount(t *testing.T) {
 		}
 	}
 }
+
+// TestQuoFloat64MatchesRat checks Φ's division against the rounding of
+// big.Rat's Float64, the reference it replaced, bit for bit: Φ = 0, S = 1,
+// sums near 2^126, exact ties on both sides of the shift, and random
+// numerators up to 250 bits over denominators up to 126 bits.
+func TestQuoFloat64MatchesRat(t *testing.T) {
+	var z, q, r big.Int
+	check := func(num, den *big.Int) {
+		t.Helper()
+		want, _ := new(big.Rat).SetFrac(num, den).Float64()
+		if got := quoFloat64(num, den, &z, &q, &r); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v / %v: got %v, big.Rat %v", num, den, got, want)
+		}
+	}
+	one := big.NewInt(1)
+	pow := func(k uint) *big.Int { return new(big.Int).Lsh(one, k) }
+	add := func(x *big.Int, d int64) *big.Int { return new(big.Int).Add(x, big.NewInt(d)) }
+
+	check(new(big.Int), one) // Φ = 0
+	check(new(big.Int), big.NewInt(49))
+	for _, n := range []int64{1, 2, 3, 1 << 53, 1<<53 + 1, 1<<62 + 1} { // S = 1: den = S² = 1
+		check(big.NewInt(n), one)
+	}
+	for _, d := range []int64{-1, 0, 1} {
+		near := add(pow(126), d)
+		check(near, one)                          // Φ near 2^126 with S = 1
+		check(new(big.Int).Mul(near, near), near) // S²Φ near 2^252 over S² near 2^126
+		check(one, near)                          // the smallest nonzero Φ
+		check(add(pow(252), d), add(pow(126), -1))
+	}
+	// Exact ties round to even: halfway between floats in [2^52, 2^53)
+	// (den 2, left shift) and in [2^53, 2^54) (den 1), and a tie scaled by
+	// 2^100 that reaches the right shift, with and without a low bit that
+	// the shift drops.
+	for _, j := range []int64{0, 1, 2, 3, 1<<20 + 1} {
+		odd := add(pow(53), 2*j+1)
+		check(odd, big.NewInt(2))
+		check(odd, one)
+		big2 := new(big.Int).Lsh(odd, 100)
+		check(big2, big.NewInt(2))
+		check(add(big2, 1), big.NewInt(2))
+		check(add(big2, -1), big.NewInt(2))
+	}
+	rng := rand.New(rand.NewSource(1))
+	random := func(maxBits int) *big.Int { // at most 1..maxBits bits
+		n, x := 1+rng.Intn(maxBits), new(big.Int)
+		for k := 0; k < n; k += 63 {
+			x.Lsh(x, 63).Or(x, big.NewInt(rng.Int63()))
+		}
+		return x.Rsh(x, uint((n+62)/63*63-n))
+	}
+	for i := 0; i < 50000; i++ {
+		num, den := random(250), random(126)
+		if den.Sign() == 0 {
+			continue
+		}
+		check(num, den)
+	}
+}

@@ -649,7 +649,13 @@ func (e *Engine) applyJoin(ev Event) (int, error) {
 		}
 		seen[p] = true
 	}
-	slot := e.topo.AddNode()
+	if err := e.topo.CheckGrow(1, len(ev.Peers)); err != nil {
+		return 0, err
+	}
+	slot, err := e.topo.AddNode()
+	if err != nil {
+		return 0, err
+	}
 	e.growNode(slot)
 	e.s[slot] = speed
 	e.speedSum += speed
@@ -695,7 +701,7 @@ func (e *Engine) applyLeave(ev Event) error {
 	}
 	recipients := make([]int, 0, len(neigh))
 	for _, a := range neigh {
-		recipients = append(recipients, a.To)
+		recipients = append(recipients, int(a.To))
 	}
 	if len(recipients) == 0 {
 		// An isolated node leaving hands its load to the lowest active
@@ -772,6 +778,10 @@ func (e *Engine) applyEdgeChange(ev Event) error {
 		}
 		adding[key] = true
 	}
+	// Removals free slots before the additions reuse them.
+	if err := e.topo.CheckGrow(0, len(ev.AddEdges)-len(ev.RemoveEdges)); err != nil {
+		return err
+	}
 	touched := make([]int, 0, 2*(len(ev.AddEdges)+len(ev.RemoveEdges)))
 	for _, uv := range ev.RemoveEdges {
 		id, err := e.topo.RemoveEdge(uv[0], uv[1])
@@ -807,9 +817,10 @@ func (e *Engine) refreshAlphas(nodes []int) {
 			continue
 		}
 		for _, a := range e.topo.Neighbors(i) {
-			u, v := e.topo.EdgeEndpoints(a.Edge)
-			e.alpha[a.Edge] = continuous.EdgeAlpha(e.s[u], e.s[v], e.topo.Degree(u), e.topo.Degree(v))
-			e.gate.edgePending.set(a.Edge)
+			id := int(a.Edge)
+			u, v := e.topo.EdgeEndpoints(id)
+			e.alpha[id] = continuous.EdgeAlpha(e.s[u], e.s[v], e.topo.Degree(u), e.topo.Degree(v))
+			e.gate.edgePending.set(id)
 		}
 	}
 }

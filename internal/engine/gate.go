@@ -297,7 +297,7 @@ func (e *Engine) gateWakeAll() { e.gate.edgePending.fill() }
 //lb:hotpath
 func (e *Engine) gateWakeNode(i int) {
 	for _, a := range e.topo.Neighbors(i) {
-		e.gate.edgePending.set(a.Edge)
+		e.gate.edgePending.set(int(a.Edge))
 	}
 }
 
@@ -507,9 +507,10 @@ func (e *Engine) gateMoved(i, next int) {
 	}
 	g.nodeHot.set(i)
 	for _, a := range e.topo.Neighbors(i) {
-		g.edgePending.set(a.Edge)
-		if a.Edge >= next && e.net[a.Edge] != 0 {
-			g.edgeCur.set(a.Edge)
+		id := int(a.Edge)
+		g.edgePending.set(id)
+		if id >= next && e.net[id] != 0 {
+			g.edgeCur.set(id)
 		}
 	}
 }
@@ -528,16 +529,23 @@ func (e *Engine) decideNode(k int) {
 	p.BeginRound()
 	dummies0 := p.Dummies()
 	for _, a := range e.topo.Neighbors(i) {
+		// Branching on Up rather than multiplying by Dir keeps the ±1 out
+		// of the loop, which mostly skips edges below the threshold.
+		up := a.Up(i)
 		g := e.gap[a.Edge]
-		if a.Out < 0 {
+		if !up {
 			g = -g
 		}
 		if g < e.roundWmaxF {
 			continue
 		}
 		m := &e.outbox[a.Edge]
-		m.toV = a.Out > 0
-		e.fD[a.Edge] += int64(a.Out) * core.Forward(g, e.wmax, p, m)
+		m.toV = up
+		sent := core.Forward(g, e.wmax, p, m)
+		if !up {
+			sent = -sent
+		}
+		e.fD[a.Edge] += sent
 	}
 	// Dummy draws are the only way a round changes total pool weight
 	// (task forwards conserve it: every batch written here is consumed by
@@ -563,7 +571,7 @@ func (e *Engine) deliverNode(k int) {
 	p := &e.pools[i]
 	for _, a := range e.topo.Neighbors(i) {
 		m := &e.outbox[a.Edge]
-		if m.count != 0 && m.toV == (a.Out < 0) {
+		if m.count != 0 && m.toV != a.Up(i) {
 			p.Add(load.Run{Weight: m.weight, Dummy: m.dummy, Count: m.count})
 			if m.more != nil {
 				p.AddRuns(*m.more)

@@ -66,20 +66,30 @@ func (e *Engine) decideFullNode(i int) {
 	p.BeginRound()
 	dummies0 := p.Dummies()
 	for _, a := range e.topo.Neighbors(i) {
+		dir := endpointDir(e.topo, i, a)
 		g := e.gap[a.Edge]
-		if a.Out < 0 {
+		if dir < 0 {
 			g = -g
 		}
 		if g < e.roundWmaxF {
 			continue
 		}
 		m := &e.outbox[a.Edge]
-		m.toV = a.Out > 0
-		e.fD[a.Edge] += int64(a.Out) * core.Forward(g, e.wmax, p, m)
+		m.toV = dir > 0
+		e.fD[a.Edge] += int64(dir) * core.Forward(g, e.wmax, p, m)
 	}
 	if d := p.Dummies() - dummies0; d != 0 {
 		e.roundDummies.Add(d)
 	}
+}
+
+// endpointDir is the direction of arc a in node i's list read from the
+// edge's endpoints, independently of graph.Arc.Dir: +1 when i is U(e).
+func endpointDir(d *graph.Dynamic, i int, a graph.Arc) int {
+	if u, _ := d.EdgeEndpoints(int(a.Edge)); u == i {
+		return +1
+	}
+	return -1
 }
 
 // deliverFullNode is referenceRound's delivery body for node slot i.
@@ -89,7 +99,7 @@ func (e *Engine) deliverFullNode(i int) {
 	}
 	for _, a := range e.topo.Neighbors(i) {
 		m := &e.outbox[a.Edge]
-		if m.count != 0 && m.toV == (a.Out < 0) {
+		if m.count != 0 && m.toV == (endpointDir(e.topo, i, a) < 0) {
 			e.pools[i].Add(load.Run{Weight: m.weight, Dummy: m.dummy, Count: m.count})
 			if m.more != nil {
 				e.pools[i].AddRuns(*m.more)
@@ -717,18 +727,19 @@ func ballSize(e *Engine, start, r int) (nodes, edges int) {
 		var next []int
 		for _, i := range frontier {
 			for _, a := range e.Topology().Neighbors(i) {
-				if _, ok := depth[a.To]; !ok {
-					depth[a.To] = d + 1
-					next = append(next, a.To)
+				to := int(a.To)
+				if _, ok := depth[to]; !ok {
+					depth[to] = d + 1
+					next = append(next, to)
 				}
 			}
 		}
 		frontier = next
 	}
-	seen := map[int]bool{}
+	seen := map[int32]bool{}
 	for i := range depth {
 		for _, a := range e.Topology().Neighbors(i) {
-			if _, ok := depth[a.To]; ok && !seen[a.Edge] {
+			if _, ok := depth[int(a.To)]; ok {
 				seen[a.Edge] = true
 			}
 		}

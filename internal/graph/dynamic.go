@@ -14,11 +14,12 @@ import (
 //
 // Slot indices of removed nodes remain valid inputs (they report inactive)
 // which lets callers keep per-node state in plain slices indexed by slot.
+// Node and edge slots are int32 ids: a Dynamic never grows past
+// math.MaxInt32 node or edge slots (see CheckGrow).
 type Dynamic struct {
 	active []bool
-	adj    [][]Arc
-	ends   [][2]int // per edge slot; [-1,-1] marks a freed slot
-	deg    []int
+	adj    [][]Arc    // a node's degree is the length of its list
+	ends   [][2]int32 // per edge slot; [-1,-1] marks a freed slot
 	freeN  []int
 	freeE  []int
 	n      int // active node count
@@ -46,12 +47,14 @@ func NewDynamic(g *Graph) *Dynamic {
 	d := &Dynamic{
 		active: make([]bool, g.n),
 		adj:    carveArcs(append([]Arc(nil), g.arcs...), g.deg),
-		ends:   append([][2]int(nil), g.edges...),
-		deg:    append([]int(nil), g.deg...),
+		ends:   make([][2]int32, len(g.edges)),
 		n:      g.n,
 		m:      g.M(),
 	}
-	for i, k := range d.deg {
+	for e, uv := range g.edges {
+		d.ends[e] = [2]int32{int32(uv[0]), int32(uv[1])}
+	}
+	for i, k := range g.deg {
 		d.active[i] = true
 		d.degAdd(k)
 	}
@@ -75,7 +78,7 @@ func (d *Dynamic) NumEdges() int { return d.m }
 func (d *Dynamic) Active(i int) bool { return i >= 0 && i < len(d.active) && d.active[i] }
 
 // Degree returns the degree of node i (0 for inactive slots).
-func (d *Dynamic) Degree(i int) int { return d.deg[i] }
+func (d *Dynamic) Degree(i int) int { return len(d.adj[i]) }
 
 // Neighbors returns the adjacency list of node i. The slice is owned by
 // the graph and is invalidated by mutations around i. Its capacity is
@@ -89,7 +92,7 @@ func (d *Dynamic) EdgeEndpoints(e int) (u, v int) {
 	if e < 0 || e >= len(d.ends) {
 		return -1, -1
 	}
-	return d.ends[e][0], d.ends[e][1]
+	return int(d.ends[e][0]), int(d.ends[e][1])
 }
 
 // FreeNodes returns the freed node slots in LIFO order (the last entry is
@@ -123,12 +126,12 @@ func (d *Dynamic) degDel(k int) {
 	}
 }
 
-// degSet moves active node i to degree k. The new bucket is filled before
-// the old one is emptied, so maxDeg never steps down past k.
-func (d *Dynamic) degSet(i, k int) {
-	d.degAdd(k)
-	d.degDel(d.deg[i])
-	d.deg[i] = k
+// degMove moves one active node from degree from to degree to. The new
+// bucket is filled before the old one is emptied, so maxDeg never steps
+// down past to.
+func (d *Dynamic) degMove(from, to int) {
+	d.degAdd(to)
+	d.degDel(from)
 }
 
 // ActiveNodes returns the active node slots in increasing order.
@@ -148,16 +151,37 @@ func (d *Dynamic) HasEdge(u, v int) bool {
 		return false
 	}
 	for _, a := range d.adj[u] {
-		if a.To == v {
+		if int(a.To) == v {
 			return true
 		}
 	}
 	return false
 }
 
+// CheckGrow returns ErrTooLarge, and nil otherwise, when adding the given
+// numbers of nodes and edges would need a new node or edge slot past
+// math.MaxInt32. Freed slots are recycled first, so only the excess over
+// the free lists counts. A caller that makes several additions as one
+// atomic change checks them all here before the first.
+func (d *Dynamic) CheckGrow(nodes, edges int) error {
+	if pastBound(nodes-len(d.freeN), len(d.active)) || pastBound(edges-len(d.freeE), len(d.ends)) {
+		return fmt.Errorf("%w: %d node and %d edge slots, adding %d nodes and %d edges", ErrTooLarge, len(d.active), len(d.ends), nodes, edges)
+	}
+	return nil
+}
+
+// pastBound reports whether minting fresh more slots after used ones would
+// pass maxSlots.
+func pastBound(fresh, used int) bool { return fresh > 0 && fresh > maxSlots-used }
+
 // AddNode activates a node slot (recycling the most recently freed one if
-// any) and returns its index. The node starts isolated.
-func (d *Dynamic) AddNode() int {
+// any) and returns its index. The node starts isolated. It fails with
+// ErrTooLarge, changing nothing, when no slot is free and math.MaxInt32
+// are in use.
+func (d *Dynamic) AddNode() (int, error) {
+	if err := d.CheckGrow(1, 0); err != nil {
+		return 0, err
+	}
 	var i int
 	if k := len(d.freeN); k > 0 {
 		i = d.freeN[k-1]
@@ -166,19 +190,18 @@ func (d *Dynamic) AddNode() int {
 		i = len(d.active)
 		d.active = append(d.active, false)
 		d.adj = append(d.adj, nil)
-		d.deg = append(d.deg, 0)
 	}
 	d.active[i] = true
 	d.adj[i] = d.adj[i][:0]
-	d.deg[i] = 0
 	d.degAdd(0)
 	d.n++
-	return i
+	return i, nil
 }
 
 // AddEdge connects active nodes u and v and returns the edge's slot
 // (recycling the most recently freed one if any). Self loops, duplicate
-// edges and inactive endpoints are rejected.
+// edges and inactive endpoints are rejected, and so is a new slot past
+// math.MaxInt32 (ErrTooLarge).
 func (d *Dynamic) AddEdge(u, v int) (int, error) {
 	if !d.Active(u) || !d.Active(v) {
 		return 0, fmt.Errorf("%w: edge (%d,%d)", ErrInactiveNode, u, v)
@@ -192,19 +215,22 @@ func (d *Dynamic) AddEdge(u, v int) (int, error) {
 	if d.HasEdge(u, v) {
 		return 0, fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, u, v)
 	}
+	if err := d.CheckGrow(0, 1); err != nil {
+		return 0, err
+	}
 	var e int
 	if k := len(d.freeE); k > 0 {
 		e = d.freeE[k-1]
 		d.freeE = d.freeE[:k-1]
 	} else {
 		e = len(d.ends)
-		d.ends = append(d.ends, [2]int{})
+		d.ends = append(d.ends, [2]int32{})
 	}
-	d.ends[e] = [2]int{u, v}
-	d.adj[u] = append(d.adj[u], Arc{To: v, Edge: e, Out: +1})
-	d.adj[v] = append(d.adj[v], Arc{To: u, Edge: e, Out: -1})
-	d.degSet(u, d.deg[u]+1)
-	d.degSet(v, d.deg[v]+1)
+	d.ends[e] = [2]int32{int32(u), int32(v)}
+	d.adj[u] = append(d.adj[u], Arc{To: int32(v), Edge: int32(e)})
+	d.adj[v] = append(d.adj[v], Arc{To: int32(u), Edge: int32(e)})
+	d.degMove(len(d.adj[u])-1, len(d.adj[u]))
+	d.degMove(len(d.adj[v])-1, len(d.adj[v]))
 	d.m++
 	return e, nil
 }
@@ -217,8 +243,8 @@ func (d *Dynamic) RemoveEdge(u, v int) (int, error) {
 	}
 	e := -1
 	for _, a := range d.adj[u] {
-		if a.To == v {
-			e = a.Edge
+		if int(a.To) == v {
+			e = int(a.Edge)
 			break
 		}
 	}
@@ -227,7 +253,7 @@ func (d *Dynamic) RemoveEdge(u, v int) (int, error) {
 	}
 	d.dropArc(u, e)
 	d.dropArc(v, e)
-	d.ends[e] = [2]int{-1, -1}
+	d.ends[e] = [2]int32{-1, -1}
 	d.freeE = append(d.freeE, e)
 	d.m--
 	return e, nil
@@ -238,9 +264,9 @@ func (d *Dynamic) RemoveEdge(u, v int) (int, error) {
 func (d *Dynamic) dropArc(i, e int) {
 	adj := d.adj[i]
 	for k, a := range adj {
-		if a.Edge == e {
+		if int(a.Edge) == e {
 			d.adj[i] = append(adj[:k], adj[k+1:]...)
-			d.degSet(i, d.deg[i]-1)
+			d.degMove(len(adj), len(adj)-1)
 			return
 		}
 	}
@@ -255,10 +281,10 @@ func (d *Dynamic) RemoveNode(i int) ([]int, error) {
 	}
 	removed := make([]int, 0, len(d.adj[i]))
 	for _, a := range append([]Arc(nil), d.adj[i]...) {
-		if _, err := d.RemoveEdge(i, a.To); err != nil {
+		if _, err := d.RemoveEdge(i, int(a.To)); err != nil {
 			return removed, err
 		}
-		removed = append(removed, a.Edge)
+		removed = append(removed, int(a.Edge))
 	}
 	d.active[i] = false
 	d.adj[i] = d.adj[i][:0]
@@ -292,7 +318,7 @@ func (d *Dynamic) Connected() bool {
 			if !seen[a.To] {
 				seen[a.To] = true
 				count++
-				queue = append(queue, a.To)
+				queue = append(queue, int(a.To))
 			}
 		}
 	}

@@ -27,9 +27,12 @@ func (d *Dynamic) ExportState() DynamicState {
 	st := DynamicState{
 		Active: append([]bool(nil), d.active...),
 		Adj:    make([][]int, len(d.adj)),
-		Ends:   append([][2]int(nil), d.ends...),
+		Ends:   make([][2]int, len(d.ends)),
 		FreeN:  append([]int(nil), d.freeN...),
 		FreeE:  append([]int(nil), d.freeE...),
+	}
+	for e, uv := range d.ends {
+		st.Ends[e] = [2]int{int(uv[0]), int(uv[1])}
 	}
 	for i, arcs := range d.adj {
 		if len(arcs) == 0 {
@@ -37,7 +40,7 @@ func (d *Dynamic) ExportState() DynamicState {
 		}
 		ids := make([]int, len(arcs))
 		for k, a := range arcs {
-			ids[k] = a.Edge
+			ids[k] = int(a.Edge)
 		}
 		st.Adj[i] = ids
 	}
@@ -48,9 +51,14 @@ func (d *Dynamic) ExportState() DynamicState {
 // internal invariants (endpoint consistency, degree counts, free lists
 // matching tombstones) so a corrupt or hand-built state fails here instead
 // of corrupting a later mutation. As in NewDynamic, the adjacency lists
-// are cut from one slab, each capped to its node.
+// are cut from one slab, each capped to its node. A state with more than
+// math.MaxInt32 node or edge slots fails with ErrTooLarge before anything
+// is allocated.
 func RestoreDynamic(st DynamicState) (*Dynamic, error) {
 	nSlots, eSlots := len(st.Active), len(st.Ends)
+	if nSlots > maxSlots || eSlots > maxSlots {
+		return nil, fmt.Errorf("%w: %d node and %d edge slots", ErrTooLarge, nSlots, eSlots)
+	}
 	if len(st.Adj) != nSlots {
 		return nil, fmt.Errorf("graph: adjacency lists %d != node slots %d", len(st.Adj), nSlots)
 	}
@@ -63,14 +71,14 @@ func RestoreDynamic(st DynamicState) (*Dynamic, error) {
 	d := &Dynamic{
 		active: append([]bool(nil), st.Active...),
 		adj:    carveArcs(make([]Arc, total), deg),
-		ends:   append([][2]int(nil), st.Ends...),
-		deg:    deg,
+		ends:   make([][2]int32, eSlots),
 		freeN:  append([]int(nil), st.FreeN...),
 		freeE:  append([]int(nil), st.FreeE...),
 	}
 	edgeSeen := make([]int, eSlots) // how many endpoints listed each edge
 	for e, ends := range st.Ends {
 		u, v := ends[0], ends[1]
+		d.ends[e] = [2]int32{int32(u), int32(v)} // in range once validated below
 		if u == -1 && v == -1 {
 			continue
 		}
@@ -94,9 +102,9 @@ func RestoreDynamic(st DynamicState) (*Dynamic, error) {
 			u, v := st.Ends[e][0], st.Ends[e][1]
 			switch i {
 			case u:
-				arcs[k] = Arc{To: v, Edge: e, Out: +1}
+				arcs[k] = Arc{To: int32(v), Edge: int32(e)}
 			case v:
-				arcs[k] = Arc{To: u, Edge: e, Out: -1}
+				arcs[k] = Arc{To: int32(u), Edge: int32(e)}
 			default:
 				return nil, fmt.Errorf("graph: node %d lists edge %d (%d,%d) it is no endpoint of", i, e, u, v)
 			}
@@ -106,7 +114,7 @@ func RestoreDynamic(st DynamicState) (*Dynamic, error) {
 	for i, a := range st.Active {
 		if a {
 			d.n++
-			d.degAdd(d.deg[i])
+			d.degAdd(len(d.adj[i]))
 		}
 	}
 	for e, ends := range st.Ends {

@@ -13,7 +13,7 @@ func churn(t *testing.T, d *Dynamic, rng *rand.Rand) {
 	nodes := d.ActiveNodes()
 	switch op := rng.Intn(4); {
 	case op == 0: // join with random peers
-		i := d.AddNode()
+		i := mustAddNode(t, d)
 		for _, p := range nodes {
 			if rng.Intn(3) == 0 && p != i {
 				if _, err := d.AddEdge(min(i, p), max(i, p)); err != nil {
@@ -84,7 +84,7 @@ func TestDynamicStateRecyclingDeterminism(t *testing.T) {
 	// Both must recycle the freed slots in the same (LIFO) order and mint
 	// identical edge slots.
 	for step := 0; step < 4; step++ {
-		di, ri := d.AddNode(), r.AddNode()
+		di, ri := mustAddNode(t, d), mustAddNode(t, r)
 		if di != ri {
 			t.Fatalf("step %d: node slots diverge: %d vs %d", step, di, ri)
 		}

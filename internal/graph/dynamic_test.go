@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -42,7 +44,7 @@ func TestDynamicAddRemove(t *testing.T) {
 	d := NewDynamic(g)
 
 	// Add a node and wire it in.
-	n := d.AddNode()
+	n := mustAddNode(t, d)
 	if n != 3 {
 		t.Fatalf("new node slot %d, want 3", n)
 	}
@@ -90,7 +92,7 @@ func TestDynamicAddRemove(t *testing.T) {
 	}
 
 	// Slots are recycled LIFO.
-	if again := d.AddNode(); again != 1 {
+	if again := mustAddNode(t, d); again != 1 {
 		t.Fatalf("recycled node slot %d, want 1", again)
 	}
 	if e2, err := d.AddEdge(1, 2); err != nil {
@@ -142,7 +144,7 @@ func TestDynamicRandomChurnConsistency(t *testing.T) {
 		nodes := d.ActiveNodes()
 		switch op := rng.Intn(4); {
 		case op == 0: // add node + edge to a random active node
-			i := d.AddNode()
+			i := mustAddNode(t, d)
 			if _, err := d.AddEdge(i, nodes[rng.Intn(len(nodes))]); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
@@ -162,7 +164,7 @@ func TestDynamicRandomChurnConsistency(t *testing.T) {
 			u := nodes[rng.Intn(len(nodes))]
 			if deg := d.Degree(u); deg > 0 {
 				arc := d.Neighbors(u)[rng.Intn(deg)]
-				if _, err := d.RemoveEdge(u, arc.To); err != nil {
+				if _, err := d.RemoveEdge(u, int(arc.To)); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 			}
@@ -187,19 +189,20 @@ func checkDynamicInvariants(t *testing.T, d *Dynamic, step int) {
 			t.Fatalf("step %d: node %d degree %d != adjacency %d", step, i, d.Degree(i), len(d.Neighbors(i)))
 		}
 		for _, a := range d.Neighbors(i) {
-			if !d.Active(a.To) {
-				t.Fatalf("step %d: node %d adjacent to inactive %d", step, i, a.To)
+			to := int(a.To)
+			if !d.Active(to) {
+				t.Fatalf("step %d: node %d adjacent to inactive %d", step, i, to)
 			}
-			u, v := d.EdgeEndpoints(a.Edge)
-			if u < 0 || (u != i && v != i) || (a.To != u && a.To != v) {
+			u, v := d.EdgeEndpoints(int(a.Edge))
+			if u < 0 || (u != i && v != i) || (to != u && to != v) {
 				t.Fatalf("step %d: node %d arc %+v inconsistent with endpoints (%d,%d)", step, i, a, u, v)
 			}
 			want := +1
 			if i == v {
 				want = -1
 			}
-			if a.Out != want {
-				t.Fatalf("step %d: node %d arc %+v has Out=%d, want %d", step, i, a, a.Out, want)
+			if a.Dir(i) != want {
+				t.Fatalf("step %d: node %d arc %+v has Dir=%d, want %d", step, i, a, a.Dir(i), want)
 			}
 		}
 	}
@@ -248,7 +251,7 @@ func TestDynamicMaxDegreeHistogram(t *testing.T) {
 			}
 			switch rng.Intn(4) {
 			case 0:
-				i := d.AddNode()
+				i := mustAddNode(t, d)
 				check(step, "join")
 				for k := 0; k < 1+rng.Intn(3); k++ {
 					p := nodes[rng.Intn(len(nodes))]
@@ -275,7 +278,7 @@ func TestDynamicMaxDegreeHistogram(t *testing.T) {
 				}
 			case 3:
 				if deg := d.Degree(u); deg > 0 {
-					if _, err := d.RemoveEdge(u, d.Neighbors(u)[rng.Intn(deg)].To); err != nil {
+					if _, err := d.RemoveEdge(u, int(d.Neighbors(u)[rng.Intn(deg)].To)); err != nil {
 						t.Fatal(err)
 					}
 					check(step, "edge remove")
@@ -289,5 +292,78 @@ func TestDynamicMaxDegreeHistogram(t *testing.T) {
 				t.Fatalf("seed %d step %d: restored MaxDegree %d, scan %d, live %d", seed, step, got, want, d.MaxDegree())
 			}
 		}
+	}
+}
+
+// mustAddNode is AddNode for tests far below the slot bound.
+func mustAddNode(t testing.TB, d *Dynamic) int {
+	t.Helper()
+	i, err := d.AddNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return i
+}
+
+// TestDynamicSlotBound lowers the slot bound to 4 around a 4-node path (3
+// edge slots) and checks that AddNode, AddEdge, CheckGrow and
+// RestoreDynamic refuse to mint a slot past it with ErrTooLarge, that a
+// refusal changes nothing, and that recycled slots stay available.
+func TestDynamicSlotBound(t *testing.T) {
+	d := NewDynamic(MustNew(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}))
+	lowerMaxSlots(t, 4)
+	refused := func(what string, try func() error) {
+		t.Helper()
+		before := d.ExportState()
+		if err := try(); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%s: error %v, want ErrTooLarge", what, err)
+		}
+		if !reflect.DeepEqual(d.ExportState(), before) {
+			t.Fatalf("%s: a refused growth changed the graph", what)
+		}
+	}
+	addNode := func() error { _, err := d.AddNode(); return err }
+	addEdge := func(u, v int) func() error {
+		return func() error { _, err := d.AddEdge(u, v); return err }
+	}
+	checkGrow := func(nodes, edges int) func() error {
+		return func() error { return d.CheckGrow(nodes, edges) }
+	}
+	refused("AddNode with 4 of 4 node slots", addNode)
+	if err := addEdge(0, 2)(); err != nil { // the 4th edge slot
+		t.Fatal(err)
+	}
+	refused("AddEdge with 4 of 4 edge slots", addEdge(0, 3))
+	refused("CheckGrow(0, 1)", checkGrow(0, 1))
+	if err := d.CheckGrow(0, 0); err != nil {
+		t.Fatalf("CheckGrow(0, 0): %v", err)
+	}
+
+	// Freed slots are recycled without minting new ones.
+	if _, err := d.RemoveEdge(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckGrow(0, 1); err != nil {
+		t.Fatalf("CheckGrow(0, 1) with a free edge slot: %v", err)
+	}
+	refused("CheckGrow(0, 2) with one free edge slot", checkGrow(0, 2))
+	if _, err := d.AddEdge(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RemoveNode(3); err != nil {
+		t.Fatal(err)
+	}
+	refused("CheckGrow(2, 0) with one free node slot", checkGrow(2, 0))
+	if i := mustAddNode(t, d); i != 3 {
+		t.Fatalf("AddNode recycled slot %d, want 3", i)
+	}
+
+	st := d.ExportState()
+	if _, err := RestoreDynamic(st); err != nil {
+		t.Fatalf("restore at the bound: %v", err)
+	}
+	lowerMaxSlots(t, 3)
+	if _, err := RestoreDynamic(st); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("restore of 4 slots at bound 3: error %v, want ErrTooLarge", err)
 	}
 }

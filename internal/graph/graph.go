@@ -7,11 +7,19 @@
 // Nodes are identified by integers 0..N-1. Every undirected edge carries an
 // index 0..M-1; by convention the endpoints of edge e are ordered
 // U(e) < V(e), and a positive signed flow on e means "from U(e) to V(e)".
+//
+// An adjacency list holds 8-byte arcs: the neighbour and the edge id, as
+// int32s. The flow direction is not stored. Since U(e) < V(e), an arc in
+// node i's list runs from U(e) to V(e) exactly when its neighbour is
+// greater than i, which Arc.Up and Arc.Dir derive. The int32 fields bound node and
+// edge ids: New refuses more than math.MaxInt32 nodes or edges with
+// ErrTooLarge, and a Dynamic refuses to grow past the same bound.
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -19,14 +27,29 @@ import (
 // in its adjacency list.
 type Arc struct {
 	// To is the neighbour at the other end of the edge.
-	To int
+	To int32
 	// Edge is the index of the underlying undirected edge.
-	Edge int
-	// Out is +1 if travelling along this arc goes from U(e) to V(e)
-	// (the positive flow direction), and -1 otherwise. A node sending
-	// load along the arc adds Out*amount to the signed flow of the edge.
-	Out int
+	Edge int32
 }
+
+// Up reports whether travelling along the arc goes from U(e) to V(e), the
+// positive flow direction, seen from node i, the node whose list holds it.
+// Every edge is stored with U(e) < V(e), so that is exactly when To > i.
+func (a Arc) Up(i int) bool { return int(a.To) > i }
+
+// Dir is Up(i) as a sign: +1 if the arc goes from U(e) to V(e) and -1
+// otherwise. A node sending load along the arc adds Dir(i)*amount to the
+// signed flow of the edge.
+func (a Arc) Dir(i int) int {
+	if a.Up(i) {
+		return +1
+	}
+	return -1
+}
+
+// maxSlots bounds node and edge ids so that they fit an Arc's int32
+// fields. It is a variable only so that tests can lower it.
+var maxSlots = math.MaxInt32
 
 // Graph is an immutable, simple, undirected graph.
 type Graph struct {
@@ -46,6 +69,9 @@ var (
 	ErrDuplicateEdge = errors.New("graph: duplicate edge")
 	// ErrNodeRange is returned when an edge endpoint is out of range.
 	ErrNodeRange = errors.New("graph: node index out of range")
+	// ErrTooLarge is returned when a graph would need more than
+	// math.MaxInt32 nodes or edges, the bound of an Arc's int32 ids.
+	ErrTooLarge = errors.New("graph: more than math.MaxInt32 nodes or edges")
 )
 
 // New builds a graph with n nodes and the given undirected edges. Edges may
@@ -58,10 +84,14 @@ var (
 // arc in one slab through per-node cursors, in input order (edge e is the
 // e-th input edge, and every list is in increasing edge order), and the
 // slab is cut into the per-node lists. A stamp array then finds duplicates
-// as a repeated neighbour in one list.
+// as a repeated neighbour in one list. More than math.MaxInt32 nodes or
+// edges fail with ErrTooLarge before anything is allocated.
 func New(n int, edges [][2]int) (*Graph, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
+	}
+	if n > maxSlots || len(edges) > maxSlots {
+		return nil, fmt.Errorf("%w: n=%d, m=%d", ErrTooLarge, n, len(edges))
 	}
 	g := &Graph{
 		n:     n,
@@ -90,9 +120,9 @@ func New(n int, edges [][2]int) (*Graph, error) {
 	g.arcs = make([]Arc, off)
 	for k, e := range g.edges {
 		u, v := e[0], e[1]
-		g.arcs[next[u]] = Arc{To: v, Edge: k, Out: +1}
+		g.arcs[next[u]] = Arc{To: int32(v), Edge: int32(k)}
 		next[u]++
-		g.arcs[next[v]] = Arc{To: u, Edge: k, Out: -1}
+		g.arcs[next[v]] = Arc{To: int32(u), Edge: int32(k)}
 		next[v]++
 	}
 	g.adj = carveArcs(g.arcs, g.deg)
@@ -227,7 +257,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 		u, v = v, u
 	}
 	for _, a := range g.adj[u] {
-		if a.To == v {
+		if int(a.To) == v {
 			return true
 		}
 	}
@@ -240,8 +270,8 @@ func (g *Graph) EdgeIndex(u, v int) (int, bool) {
 		return 0, false
 	}
 	for _, a := range g.adj[u] {
-		if a.To == v {
-			return a.Edge, true
+		if int(a.To) == v {
+			return int(a.Edge), true
 		}
 	}
 	return 0, false
@@ -263,7 +293,7 @@ func (g *Graph) BFSDist(src int) []int {
 		for _, a := range g.adj[u] {
 			if dist[a.To] < 0 {
 				dist[a.To] = dist[u] + 1
-				queue = append(queue, a.To)
+				queue = append(queue, int(a.To))
 			}
 		}
 	}
@@ -322,8 +352,8 @@ func (g *Graph) ConnectedComponents() [][]int {
 			for _, a := range g.adj[u] {
 				if comp[a.To] < 0 {
 					comp[a.To] = id
-					members = append(members, a.To)
-					queue = append(queue, a.To)
+					members = append(members, int(a.To))
+					queue = append(queue, int(a.To))
 				}
 			}
 		}

@@ -3,9 +3,13 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strconv"
 	"testing"
+	"unsafe"
 )
 
 // referenceNew is the map-based builder New replaced, kept as the
@@ -40,8 +44,8 @@ func referenceNew(n int, edges [][2]int) (*Graph, error) {
 		seen[key] = struct{}{}
 		idx := len(g.edges)
 		g.edges = append(g.edges, key)
-		g.adj[u] = append(g.adj[u], Arc{To: v, Edge: idx, Out: +1})
-		g.adj[v] = append(g.adj[v], Arc{To: u, Edge: idx, Out: -1})
+		g.adj[u] = append(g.adj[u], Arc{To: int32(v), Edge: int32(idx)})
+		g.adj[v] = append(g.adj[v], Arc{To: int32(u), Edge: int32(idx)})
 		g.deg[u]++
 		g.deg[v]++
 	}
@@ -143,27 +147,63 @@ func TestNeighborsCapacityIsolated(t *testing.T) {
 	}
 }
 
+// modelArc is an arc as arcModel records it: with its direction stored
+// when the edge is added, where a Dynamic derives it.
+type modelArc struct{ to, edge, dir int }
+
 // arcModel mirrors a Dynamic's adjacency in separately allocated lists,
 // applying the documented semantics of each mutation: AddEdge appends to
 // both lists, edge removal keeps the remaining arcs in order.
-type arcModel [][]Arc
+type arcModel [][]modelArc
+
+// modelOf copies d's adjacency into a model, taking each arc's direction
+// from its edge's endpoints.
+func modelOf(d *Dynamic) arcModel {
+	m := make(arcModel, d.NodeSlots())
+	for i := range m {
+		for _, a := range d.Neighbors(i) {
+			dir := -1
+			if u, _ := d.EdgeEndpoints(int(a.Edge)); u == i {
+				dir = +1
+			}
+			m[i] = append(m[i], modelArc{int(a.To), int(a.Edge), dir})
+		}
+	}
+	return m
+}
 
 func (m arcModel) addEdge(u, v, e int) {
 	if u > v {
 		u, v = v, u
 	}
-	m[u] = append(m[u], Arc{To: v, Edge: e, Out: +1})
-	m[v] = append(m[v], Arc{To: u, Edge: e, Out: -1})
+	m[u] = append(m[u], modelArc{v, e, +1})
+	m[v] = append(m[v], modelArc{u, e, -1})
 }
 
 func (m arcModel) dropEdge(i, e int) {
 	out := m[i][:0:0]
 	for _, a := range m[i] {
-		if a.Edge != e {
+		if a.edge != e {
 			out = append(out, a)
 		}
 	}
 	m[i] = out
+}
+
+// checkNode fails unless node i's list in d equals the model's, arc for
+// arc: the same neighbours and edge ids in the same order, and Dir(i) the
+// recorded direction.
+func (m arcModel) checkNode(t testing.TB, d *Dynamic, i int, step string) {
+	t.Helper()
+	got := d.Neighbors(i)
+	ok := len(got) == len(m[i])
+	for k := 0; ok && k < len(got); k++ {
+		a, w := got[k], m[i][k]
+		ok = int(a.To) == w.to && int(a.Edge) == w.edge && a.Dir(i) == w.dir && a.Up(i) == (w.dir > 0)
+	}
+	if !ok {
+		t.Fatalf("after %s: node %d arcs %v, want %v", step, i, got, m[i])
+	}
 }
 
 // TestDynamicCapacityIsolated runs AddEdge, RemoveEdge, RemoveNode and
@@ -189,16 +229,11 @@ func TestDynamicCapacityIsolated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			model := make(arcModel, d.NodeSlots())
-			for i := range model {
-				model[i] = append([]Arc(nil), d.Neighbors(i)...)
-			}
+			model := modelOf(d)
 			check := func(step string) {
 				t.Helper()
 				for i := range model {
-					if got := d.Neighbors(i); !slices.Equal(got, model[i]) {
-						t.Fatalf("after %s: node %d arcs %v, want %v", step, i, got, model[i])
-					}
+					model.checkNode(t, d, i, step)
 				}
 			}
 			const c = 5 // neighbours 1, 4, 6, 9 on the 4x4 torus
@@ -236,7 +271,7 @@ func TestDynamicCapacityIsolated(t *testing.T) {
 				}
 			}
 			check(fmt.Sprintf("RemoveNode(%d)", c))
-			if got := d.AddNode(); got != c {
+			if got := mustAddNode(t, d); got != c {
 				t.Fatalf("AddNode recycled slot %d, want %d", got, c)
 			}
 			check("AddNode")
@@ -302,19 +337,64 @@ func TestNewErrors(t *testing.T) {
 	}
 }
 
+// TestArcIsEightBytes pins the compact arc: two int32s, no stored
+// direction.
+func TestArcIsEightBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Arc{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(Arc{}) = %d, want 8", got)
+	}
+}
+
+// lowerMaxSlots lowers the node and edge slot bound for the rest of the
+// test, so that the bound can be reached without allocating 2^31 slots.
+func lowerMaxSlots(t *testing.T, n int) {
+	old := maxSlots
+	maxSlots = n
+	t.Cleanup(func() { maxSlots = old })
+}
+
+// TestNewTooLarge: more nodes or edges than an int32 id can name fail with
+// ErrTooLarge before New allocates anything.
+func TestNewTooLarge(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("math.MaxInt32+1 does not fit an int")
+	}
+	n := int64(math.MaxInt32) + 1
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := New(int(n), nil)
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("New(MaxInt32+1, nil) error %v, want ErrTooLarge", err)
+	}
+	if b := m1.TotalAlloc - m0.TotalAlloc; b > 1<<12 {
+		t.Fatalf("New(MaxInt32+1, nil) allocated %d bytes before failing", b)
+	}
+	lowerMaxSlots(t, 3)
+	if _, err := New(4, nil); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("New(4, nil) at bound 3: error %v, want ErrTooLarge", err)
+	}
+	if _, err := New(3, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 1}}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("4 edges at bound 3: error %v, want ErrTooLarge", err)
+	}
+	if _, err := New(3, [][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
+		t.Fatalf("3 nodes and 3 edges at bound 3: %v", err)
+	}
+}
+
 func TestArcSignsAreConsistent(t *testing.T) {
 	g := MustNew(3, [][2]int{{0, 1}, {1, 2}})
 	for i := 0; i < g.N(); i++ {
 		for _, a := range g.Neighbors(i) {
-			u, v := g.EdgeEndpoints(a.Edge)
-			switch {
-			case i == u && a.To == v:
-				if a.Out != 1 {
-					t.Errorf("arc %d->%d edge %d: Out = %d, want +1", i, a.To, a.Edge, a.Out)
+			u, v := g.EdgeEndpoints(int(a.Edge))
+			switch to := int(a.To); {
+			case i == u && to == v:
+				if a.Dir(i) != 1 {
+					t.Errorf("arc %d->%d edge %d: Dir = %d, want +1", i, a.To, a.Edge, a.Dir(i))
 				}
-			case i == v && a.To == u:
-				if a.Out != -1 {
-					t.Errorf("arc %d->%d edge %d: Out = %d, want -1", i, a.To, a.Edge, a.Out)
+			case i == v && to == u:
+				if a.Dir(i) != -1 {
+					t.Errorf("arc %d->%d edge %d: Dir = %d, want -1", i, a.To, a.Edge, a.Dir(i))
 				}
 			default:
 				t.Errorf("arc %d->%d does not match edge %d endpoints (%d,%d)", i, a.To, a.Edge, u, v)
