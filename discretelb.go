@@ -96,7 +96,9 @@ type (
 	Engine = engine.Engine
 	// EngineConfig configures an Engine.
 	EngineConfig = engine.Config
-	// EngineEvent is one unit of the engine's input stream.
+	// EngineEvent is one unit of the engine's input stream: 48 bytes,
+	// with an arrival of equal tasks carried as one run (Count tasks of
+	// Weight) and the rare payloads behind one pointer.
 	EngineEvent = engine.Event
 	// EngineSample is one round's streamed engine metrics.
 	EngineSample = engine.Sample
@@ -242,6 +244,9 @@ var (
 	NewDynamicGraph = graph.NewDynamic
 	// EngineArrival / EngineArrivalTasks / EngineCompletion / EngineJoin /
 	// EngineLeave / EngineEdgeChange build the engine's event stream.
+	// EngineArrival builds one run of unit tokens whatever its count (a
+	// negative count is rejected by Step with engine.ErrNegativeCount), and
+	// EngineArrivalTasks folds a list of equal tasks to the same run.
 	EngineArrival      = engine.Arrival
 	EngineArrivalTasks = engine.ArrivalTasks
 	EngineCompletion   = engine.Completion

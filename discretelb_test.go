@@ -147,3 +147,32 @@ func TestCrossSchemeConsistency(t *testing.T) {
 		t.Errorf("round-down did not balance at all: %v", resRD.MaxMin)
 	}
 }
+
+// TestEngineArrivalNegativeCount: a negative arrival count through the
+// facade is a rejected event, not a panic, and the engine stays usable.
+func TestEngineArrivalNegativeCount(t *testing.T) {
+	g, err := discretelb.NewHypercube(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := discretelb.NewEngine(discretelb.EngineConfig{Graph: g, Speeds: discretelb.UniformSpeeds(g.N())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Schedule(discretelb.EngineArrival(0, 0, -1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Step(); err == nil {
+		t.Fatal("Step accepted an arrival of -1 tokens")
+	}
+	if err := eng.Schedule(discretelb.EngineArrival(0, 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.RealTotal(); got != 3 {
+		t.Fatalf("real total %d, want 3", got)
+	}
+}

@@ -1,6 +1,11 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -81,7 +86,8 @@ func TestCompletionAllocatesNothing(t *testing.T) {
 	e := hotTorus(t)
 	before := e.RealTotal()
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := e.applyEvent(Completion(0, 0, 3)); err != nil {
+		ev := Completion(0, 0, 3)
+		if err := e.applyEvent(&ev); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -90,5 +96,75 @@ func TestCompletionAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("a completion allocates %v times, want 0", allocs)
+	}
+}
+
+// TestParseArrivalAllocatesNothing: an arrival line decodes to its run
+// with no allocation, whatever its token count.
+func TestParseArrivalAllocatesNothing(t *testing.T) {
+	for _, line := range []string{
+		`{"kind":"arrival","node":1,"tokens":4096}`,
+		`{"kind":"arrival","node":1,"tokens":1048576}`,
+		`{"kind":"arrival","node":1,"tokens":4096,"weight":3}`,
+		`{"kind":"completion","node":1,"count":4096}`,
+	} {
+		b := []byte(line)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ParseEventLine(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: ParseEventLine allocates %v times, want 0", line, allocs)
+		}
+	}
+}
+
+// TestStreamSteadyStateAllocs: once the server's pooled line buffer and
+// event batch are warm, a 1024-line POST of arrivals and completions to
+// /events/stream allocates under 0.05 times per line, HTTP handling and
+// the inline Step included.
+func TestStreamSteadyStateAllocs(t *testing.T) {
+	g, err := graph.Torus(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := mustEngine(t, Config{Graph: g, Speeds: load.UniformSpeeds(g.N()), Workers: 1})
+	// One inline Step per POST keeps the queue at one POST's events.
+	sv := NewServer(eng).WithStreamLimits(StreamLimits{MaxPending: 1024})
+	h := sv.Handler()
+	var body bytes.Buffer
+	for i := 0; i < 512; i++ {
+		fmt.Fprintf(&body, "{\"kind\":\"arrival\",\"node\":%d,\"tokens\":%d}\n", i%36, 1+i%9)
+		fmt.Fprintf(&body, "{\"kind\":\"completion\",\"node\":%d,\"count\":3}\n", (i+7)%36)
+	}
+	const lines, warm, posts = 1024, 4, 16
+	reqs := make([]*http.Request, warm+posts)
+	recs := make([]*httptest.ResponseRecorder, warm+posts)
+	for k := range reqs {
+		reqs[k] = httptest.NewRequest(http.MethodPost, "/events/stream", bytes.NewReader(body.Bytes()))
+		recs[k] = httptest.NewRecorder()
+	}
+	post := func(k int) {
+		h.ServeHTTP(recs[k], reqs[k])
+		if recs[k].Code != http.StatusOK {
+			t.Fatalf("POST %d: %d %s", k, recs[k].Code, recs[k].Body)
+		}
+	}
+	for k := 0; k < warm; k++ {
+		post(k)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for k := warm; k < warm+posts; k++ {
+		post(k)
+	}
+	runtime.ReadMemStats(&m1)
+	perLine := float64(m1.Mallocs-m0.Mallocs) / (posts * lines)
+	if perLine >= 0.05 {
+		t.Errorf("a steady-state 1024-line POST allocates %.3f times per line, want < 0.05", perLine)
+	}
+	if got := eng.EventsApplied(); got != (warm+posts)*lines {
+		t.Fatalf("%d events applied, want %d", got, (warm+posts)*lines)
 	}
 }

@@ -44,6 +44,20 @@
 // expanded). With unit tokens a node's pool is one run, a round allocates
 // nothing, and a delivery is an O(1) merge into the receiver's top run.
 //
+// Events are small and travel without copies. An Event is 48 bytes: the
+// round, kind, node, a count and a weight, and one pointer to the rare
+// payloads (a task list of unequal weights, a join's speed and peers, an
+// edge change's lists). An arrival of k equal tasks is one run, by
+// Definition 3's additivity and because equal tasks cannot be told apart:
+// ParseEventLine decodes it without allocating, the queue holds it in one
+// slot, it lands in the pool with one dist.Pool.Add and the WAL logs it as
+// Tokens+Weight, whatever k is. Step applies each due event in place in
+// its calendar-queue slot, records and logs it there, and only then pops
+// it; nothing is pushed while an event is applied. The HTTP stream
+// handler reuses its line buffer and event batch across POSTs, so a
+// steady stream of arrivals and completions allocates almost nothing per
+// line.
+//
 // A streaming metrics ring records discrepancy, potential Φ, dummy-token
 // counts and per-round latency; cmd/lbserve exposes the ring, snapshots
 // and event injection over HTTP. The discrepancy quantities come from an

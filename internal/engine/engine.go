@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -383,7 +384,12 @@ func (e *Engine) Bound() float64 {
 }
 
 // Schedule enqueues an event. Events in the past fire before the next
-// round. The event's tasks are not copied; the caller must not reuse them.
+// round. The event is copied into the queue (48 bytes, payload pointer
+// included): a uniform arrival of any size costs one queue slot, and the
+// payload of a rare event (a mixed-weight task list, a join's peers, an
+// edge change's lists) is not copied, so the caller must not reuse it.
+//
+//lb:hotpath
 func (e *Engine) Schedule(ev Event) error {
 	if e.closed {
 		return ErrClosed
@@ -391,13 +397,21 @@ func (e *Engine) Schedule(ev Event) error {
 	switch ev.Kind {
 	case KindTaskArrival, KindTaskCompletion, KindNodeJoin, KindNodeLeave, KindEdgeChange:
 	default:
-		return fmt.Errorf("engine: unknown event kind %v", ev.Kind)
+		return unknownKindError(ev.Kind)
 	}
 	if ev.At < e.round {
 		ev.At = e.round
 	}
 	e.queue.push(ev)
 	return nil
+}
+
+// unknownKindError is Schedule's rejection of an unknown kind, built out
+// of line like the apply functions' rejections.
+//
+//go:noinline
+func unknownKindError(k Kind) error {
+	return fmt.Errorf("engine: unknown event kind %v", k)
 }
 
 // Step drains every event due at the current round as one batch, executes
@@ -435,33 +449,42 @@ func (e *Engine) Step() error {
 	start := nowMetric()
 	applied := 0
 	var stepErr error
+	// Each due event is applied, recorded and logged in place in its queue
+	// slot and popped after that; a rejected event is popped too. The
+	// pointer stays valid because nothing in between pushes to the queue:
+	// applying an event never schedules one.
 	for {
-		ev, ok := e.queue.popDue(e.round)
-		if !ok {
+		ev := e.queue.peekDue(e.round)
+		if ev == nil {
 			break
 		}
+		kind := ev.Kind
 		if err := e.applyEvent(ev); err != nil {
+			e.queue.pop()
 			e.instr.eventsRejected.Inc()
-			stepErr = fmt.Errorf("engine: round %d %s event: %w", e.round, ev.Kind, err)
+			stepErr = fmt.Errorf("engine: round %d %s event: %w", e.round, kind, err)
 			break
 		}
 		e.eventsApplied++
 		applied++
-		e.instr.eventsApplied[ev.Kind].Inc()
+		e.instr.eventsApplied[kind].Inc()
 		e.recordEvent(ev)
+		var err error
 		if e.wal != nil {
 			// Log the applied event before anything else can fail: the WAL
 			// must hold every event the state absorbed, in apply order.
 			// Rejected events are never logged — replay applies the log
 			// unconditionally.
-			if err := e.logEvent(ev); err != nil {
-				stepErr = err
-				break
-			}
+			err = e.logEvent(ev)
+		}
+		e.queue.pop()
+		if err != nil {
+			stepErr = err
+			break
 		}
 		if e.deepAudit {
 			if err := e.AuditFull(); err != nil {
-				stepErr = fmt.Errorf("engine: round %d after %s event: %w: %w", e.round, ev.Kind, ErrInconsistent, err)
+				stepErr = fmt.Errorf("engine: round %d after %s event: %w: %w", e.round, kind, ErrInconsistent, err)
 				break
 			}
 		}
@@ -540,10 +563,11 @@ func (e *Engine) RunUntilBound(maxRounds int) (int, bool, error) {
 	return maxRounds, e.queue.len() == 0 && e.MaxAvg() <= e.Bound(), nil
 }
 
-// applyEvent dispatches one event. A returned error means the event was
-// invalid (or the engine state is inconsistent); the engine should not be
-// stepped further after an error.
-func (e *Engine) applyEvent(ev Event) error {
+// applyEvent dispatches one event, in place: Step hands it the event's
+// queue slot. A returned error means the event was invalid (or the engine
+// state is inconsistent); the engine should not be stepped further after
+// an error.
+func (e *Engine) applyEvent(ev *Event) error {
 	switch ev.Kind {
 	case KindTaskArrival:
 		return e.applyArrival(ev)
@@ -576,48 +600,103 @@ func (e *Engine) mutateLedgered(i int, mutate func(p *dist.Pool)) (dReal int64) 
 	return real - real0
 }
 
-// addTasksLedgered appends a batch to node i's pool and folds the pool's
-// counter deltas into the conservation ledger — the one way event
-// application may grow a pool.
-func (e *Engine) addTasksLedgered(i int, batch []load.Task) {
-	e.mutateLedgered(i, func(p *dist.Pool) { p.AddTasks(batch) })
+// ErrNegativeCount rejects an arrival or a completion of a negative number
+// of tasks.
+var ErrNegativeCount = errors.New("negative task count")
+
+// ErrWeightOverflow rejects an arrival whose total weight overflows int64.
+var ErrWeightOverflow = errors.New("arrival weight overflows int64")
+
+// The rejections of the per-event apply functions are built out of line:
+// errDummyTask is hoisted, and the error builders below are never inlined,
+// so the boxing of their arguments stays outside the hot functions.
+var errDummyTask = errors.New("dummy tasks cannot arrive")
+
+//go:noinline
+func inactiveNodeError(kind string, node int) error {
+	return fmt.Errorf("%s at inactive node %d", kind, node)
 }
 
-func (e *Engine) applyArrival(ev Event) error {
+//go:noinline
+func negativeCountError(kind string, count int) error {
+	return fmt.Errorf("%w: %s count %d", ErrNegativeCount, kind, count)
+}
+
+//go:noinline
+func taskWeightError(w int64) error {
+	return fmt.Errorf("arriving task has weight %d", w)
+}
+
+//go:noinline
+func weightOverflowError(count int, weight int64) error {
+	return fmt.Errorf("%w: %d tasks of weight %d", ErrWeightOverflow, count, weight)
+}
+
+// applyArrival lands an arrival in its node's pool: a uniform arrival as
+// one run through a single dist.Pool.Add, whatever its Count, and a task
+// list task by task. The whole event is validated before anything is
+// mutated (wmax included), so a rejected arrival is atomic, and its total
+// weight is checked against int64 overflow before the ledger or the pool
+// sees it.
+//
+//lb:hotpath
+func (e *Engine) applyArrival(ev *Event) error {
 	if !e.topo.Active(ev.Node) {
-		return fmt.Errorf("arrival at inactive node %d", ev.Node)
+		return inactiveNodeError("arrival", ev.Node)
 	}
-	// Validate the whole batch before mutating anything (wmax included),
-	// so a rejected arrival is atomic.
+	if ev.Count < 0 {
+		return negativeCountError("arrival", ev.Count)
+	}
 	var w, maxW int64
-	for _, q := range ev.Tasks {
-		if q.Weight < 1 {
-			return fmt.Errorf("arriving task has weight %d", q.Weight)
+	tasks := ev.ext().tasks
+	if tasks != nil {
+		for _, q := range tasks {
+			if q.Weight < 1 {
+				return taskWeightError(q.Weight)
+			}
+			if q.Dummy {
+				return errDummyTask
+			}
+			if w > math.MaxInt64-q.Weight {
+				return weightOverflowError(len(tasks), q.Weight)
+			}
+			w += q.Weight
+			maxW = max(maxW, q.Weight)
 		}
-		if q.Dummy {
-			return errors.New("dummy tasks cannot arrive")
+	} else if ev.Count > 0 {
+		if ev.Weight < 1 {
+			return taskWeightError(ev.Weight)
 		}
-		w += q.Weight
-		if q.Weight > maxW {
-			maxW = q.Weight
+		if ev.Weight > math.MaxInt64/int64(ev.Count) {
+			return weightOverflowError(ev.Count, ev.Weight)
 		}
+		w, maxW = int64(ev.Count)*ev.Weight, ev.Weight
 	}
 	if maxW > e.wmax {
 		e.wmax = maxW
 	}
-	e.addTasksLedgered(ev.Node, ev.Tasks)
+	if tasks != nil {
+		e.mutateLedgered(ev.Node, func(p *dist.Pool) { p.AddTasks(tasks) })
+	} else {
+		run := load.Run{Weight: ev.Weight, Count: int64(ev.Count)}
+		e.mutateLedgered(ev.Node, func(p *dist.Pool) { p.Add(run) })
+	}
 	e.x[ev.Node] += float64(w)
 	e.expectedReal += w
 	e.gateWakeNode(ev.Node)
 	return nil
 }
 
-func (e *Engine) applyCompletion(ev Event) error {
+// applyCompletion removes up to Count of the node's newest non-dummy
+// tasks.
+//
+//lb:hotpath
+func (e *Engine) applyCompletion(ev *Event) error {
 	if !e.topo.Active(ev.Node) {
-		return fmt.Errorf("completion at inactive node %d", ev.Node)
+		return inactiveNodeError("completion", ev.Node)
 	}
 	if ev.Count < 0 {
-		return fmt.Errorf("negative completion count %d", ev.Count)
+		return negativeCountError("completion", ev.Count)
 	}
 	// RemoveNewestReal touches only non-dummy tasks, so the ledger's real
 	// delta is exactly the weight completed.
@@ -629,8 +708,9 @@ func (e *Engine) applyCompletion(ev Event) error {
 }
 
 // applyJoin activates a new node and returns its slot.
-func (e *Engine) applyJoin(ev Event) (int, error) {
-	speed := ev.Speed
+func (e *Engine) applyJoin(ev *Event) (int, error) {
+	x := ev.ext()
+	speed := x.speed
 	if speed == 0 {
 		speed = 1
 	}
@@ -639,8 +719,8 @@ func (e *Engine) applyJoin(ev Event) (int, error) {
 	}
 	// Validate fully before mutating anything, so a rejected join leaves
 	// no half-wired node behind.
-	seen := make(map[int]bool, len(ev.Peers))
-	for _, p := range ev.Peers {
+	seen := make(map[int]bool, len(x.peers))
+	for _, p := range x.peers {
 		if !e.topo.Active(p) {
 			return 0, fmt.Errorf("join peer %d is inactive", p)
 		}
@@ -649,7 +729,7 @@ func (e *Engine) applyJoin(ev Event) (int, error) {
 		}
 		seen[p] = true
 	}
-	if err := e.topo.CheckGrow(1, len(ev.Peers)); err != nil {
+	if err := e.topo.CheckGrow(1, len(x.peers)); err != nil {
 		return 0, err
 	}
 	slot, err := e.topo.AddNode()
@@ -662,7 +742,7 @@ func (e *Engine) applyJoin(ev Event) (int, error) {
 	e.trackJoin(slot)
 	e.x[slot] = 0
 	e.pools[slot] = dist.Pool{}
-	for _, p := range ev.Peers {
+	for _, p := range x.peers {
 		id, err := e.topo.AddEdge(slot, p)
 		if err != nil {
 			return slot, err
@@ -670,11 +750,11 @@ func (e *Engine) applyJoin(ev Event) (int, error) {
 		e.growEdge(id)
 		e.clearEdge(id)
 	}
-	e.refreshAlphas(append([]int{slot}, ev.Peers...))
+	e.refreshAlphas(append([]int{slot}, x.peers...))
 	return slot, nil
 }
 
-func (e *Engine) applyLeave(ev Event) error {
+func (e *Engine) applyLeave(ev *Event) error {
 	node := ev.Node
 	if !e.topo.Active(node) {
 		return fmt.Errorf("leave of inactive node %d", node)
@@ -739,7 +819,8 @@ func (e *Engine) applyLeave(ev Event) error {
 	return nil
 }
 
-func (e *Engine) applyEdgeChange(ev Event) error {
+func (e *Engine) applyEdgeChange(ev *Event) error {
+	add, remove := ev.ext().add, ev.ext().remove
 	// Validate the whole change against the current topology before
 	// mutating anything, so a rejected event is atomic. Removals run
 	// first, so an add may legitimately re-create a pair removed by the
@@ -750,8 +831,8 @@ func (e *Engine) applyEdgeChange(ev Event) error {
 		}
 		return uv
 	}
-	removing := make(map[[2]int]bool, len(ev.RemoveEdges))
-	for _, uv := range ev.RemoveEdges {
+	removing := make(map[[2]int]bool, len(remove))
+	for _, uv := range remove {
 		if !e.topo.HasEdge(uv[0], uv[1]) {
 			return fmt.Errorf("remove of missing edge (%d,%d)", uv[0], uv[1])
 		}
@@ -761,8 +842,8 @@ func (e *Engine) applyEdgeChange(ev Event) error {
 		}
 		removing[key] = true
 	}
-	adding := make(map[[2]int]bool, len(ev.AddEdges))
-	for _, uv := range ev.AddEdges {
+	adding := make(map[[2]int]bool, len(add))
+	for _, uv := range add {
 		if !e.topo.Active(uv[0]) || !e.topo.Active(uv[1]) {
 			return fmt.Errorf("add of edge (%d,%d) with inactive endpoint", uv[0], uv[1])
 		}
@@ -779,11 +860,11 @@ func (e *Engine) applyEdgeChange(ev Event) error {
 		adding[key] = true
 	}
 	// Removals free slots before the additions reuse them.
-	if err := e.topo.CheckGrow(0, len(ev.AddEdges)-len(ev.RemoveEdges)); err != nil {
+	if err := e.topo.CheckGrow(0, len(add)-len(remove)); err != nil {
 		return err
 	}
-	touched := make([]int, 0, 2*(len(ev.AddEdges)+len(ev.RemoveEdges)))
-	for _, uv := range ev.RemoveEdges {
+	touched := make([]int, 0, 2*(len(add)+len(remove)))
+	for _, uv := range remove {
 		id, err := e.topo.RemoveEdge(uv[0], uv[1])
 		if err != nil {
 			return err
@@ -792,7 +873,7 @@ func (e *Engine) applyEdgeChange(ev Event) error {
 		e.alpha[id] = 0
 		touched = append(touched, uv[0], uv[1])
 	}
-	for _, uv := range ev.AddEdges {
+	for _, uv := range add {
 		id, err := e.topo.AddEdge(uv[0], uv[1])
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -226,7 +227,11 @@ func TestEngineRejectsInvalidEvents(t *testing.T) {
 		"edge-remove-miss":  EdgeChange(0, nil, [][2]int{{0, 0}}),
 		"edge-remove-dup":   EdgeChange(0, nil, [][2]int{{0, 1}, {1, 0}}),
 		"join-dup-peer":     Join(0, 1, 0, 0),
-		"join-bad-speed":    {Kind: KindNodeJoin, Speed: -2},
+		"join-bad-speed":    Join(0, -2),
+		"arrival-neg":       Arrival(0, 0, -1),
+		"arrival-zero-run":  {Kind: KindTaskArrival, Node: 0, Count: 2},
+		"arrival-overflow":  {Kind: KindTaskArrival, Node: 0, Count: 2, Weight: math.MaxInt64/2 + 1},
+		"arrival-list-sum":  ArrivalTasks(0, 0, []load.Task{{Weight: math.MaxInt64}, {Weight: 1}}),
 		"unknown-kind-zero": {},
 	} {
 		eng := mustEngine(t, Config{Graph: g, Speeds: load.UniformSpeeds(2)})

@@ -48,38 +48,83 @@ func (k Kind) String() string {
 // Event is one unit of the runtime's input stream. At is the round index
 // at which the event fires: all events with At <= Round() are applied, in
 // (At, kind, insertion) order, before the next balancing round executes.
+//
+// An Event is 48 bytes: the scalar fields the frequent kinds need and one
+// pointer to the rare payloads. Algorithm 1 sees only a task's weight and
+// dummy flag, and arrivals are additive (Definition 3), so an arrival of
+// Count equal tasks of Weight is one run that lands in the node's pool as
+// a single dist.Pool.Add, whatever Count is. Only an arrival of unequal
+// tasks, a join and an edge change carry a payload.
 type Event struct {
 	At   int64
 	Kind Kind
 
 	// Node is the target of arrivals, completions and leaves.
 	Node int
-	// Tasks are the arriving tasks (arrivals only; dummies are rejected).
-	Tasks []load.Task
-	// Count is the number of tasks to complete (completions only).
+	// Count is the number of arriving tasks (arrivals) or the number of
+	// tasks to complete (completions).
 	Count int
-	// Speed is the joining node's speed (joins only; 0 means 1).
-	Speed int64
-	// Peers are the joining node's initial neighbours (joins only).
-	Peers []int
-	// AddEdges and RemoveEdges are applied by edge-change events;
-	// removals run first.
-	AddEdges    [][2]int
-	RemoveEdges [][2]int
+	// Weight is the weight of each of the Count arriving tasks of a
+	// uniform arrival (arrivals without a task list only).
+	Weight int64
+
+	payload *eventPayload
 }
 
-// Arrival builds a TaskArrival of count unit-weight tokens.
-func Arrival(at int64, node int, count int) Event {
-	tasks := make([]load.Task, count)
-	for i := range tasks {
-		tasks[i] = load.Task{Weight: 1}
+// eventPayload holds what a rare event carries beyond the scalar fields:
+// an arrival's task list when its tasks are not all equal, a join's speed
+// and peers, and an edge change's lists.
+type eventPayload struct {
+	// tasks are the arriving tasks; Count is their number (dummies are
+	// rejected at apply time).
+	tasks []load.Task
+	// speed is the joining node's speed (0 means 1); peers are its
+	// initial neighbours.
+	speed int64
+	peers []int
+	// add and remove are applied by edge-change events; removals run
+	// first.
+	add, remove [][2]int
+}
+
+// noPayload stands in for the payload of an event that carries none.
+var noPayload eventPayload
+
+// ext returns the event's payload, or the shared empty one if it has
+// none; callers only read through it.
+func (ev *Event) ext() *eventPayload {
+	if ev.payload != nil {
+		return ev.payload
 	}
-	return Event{At: at, Kind: KindTaskArrival, Node: node, Tasks: tasks}
+	return &noPayload
 }
 
-// ArrivalTasks builds a TaskArrival of explicit tasks.
+// Arrival builds a TaskArrival of count unit-weight tokens: one run,
+// whatever count is. A negative count is rejected when the event is
+// applied.
+func Arrival(at int64, node int, count int) Event {
+	return Event{At: at, Kind: KindTaskArrival, Node: node, Count: count, Weight: 1}
+}
+
+// ArrivalTasks builds a TaskArrival of explicit tasks. A non-empty list of
+// equal non-dummy tasks folds to the run form Arrival builds, without
+// keeping the list; any other list is kept, and the caller must not reuse
+// it. Dummy tasks and tasks of weight < 1 are rejected when the event is
+// applied.
 func ArrivalTasks(at int64, node int, tasks []load.Task) Event {
-	return Event{At: at, Kind: KindTaskArrival, Node: node, Tasks: tasks}
+	ev := Event{At: at, Kind: KindTaskArrival, Node: node, Count: len(tasks)}
+	if len(tasks) == 0 {
+		return ev
+	}
+	w := tasks[0].Weight
+	for _, q := range tasks {
+		if q.Dummy || q.Weight != w {
+			ev.payload = &eventPayload{tasks: tasks}
+			return ev
+		}
+	}
+	ev.Weight = w
+	return ev
 }
 
 // Completion builds a TaskCompletion of count tasks.
@@ -89,7 +134,7 @@ func Completion(at int64, node int, count int) Event {
 
 // Join builds a NodeJoin attaching to peers with the given speed.
 func Join(at int64, speed int64, peers ...int) Event {
-	return Event{At: at, Kind: KindNodeJoin, Speed: speed, Peers: peers}
+	return Event{At: at, Kind: KindNodeJoin, payload: &eventPayload{speed: speed, peers: peers}}
 }
 
 // Leave builds a NodeLeave.
@@ -99,7 +144,7 @@ func Leave(at int64, node int) Event {
 
 // EdgeChange builds an edge mutation; remove runs before add.
 func EdgeChange(at int64, add, remove [][2]int) Event {
-	return Event{At: at, Kind: KindEdgeChange, AddEdges: add, RemoveEdges: remove}
+	return Event{At: at, Kind: KindEdgeChange, payload: &eventPayload{add: add, remove: remove}}
 }
 
 // kindRank orders events that fire in the same round: topology growth
@@ -154,7 +199,7 @@ type eventBucket struct {
 }
 
 // eventFIFO is a FIFO of events: evs[head:] are pending. Popped slots are
-// zeroed so the queue does not keep their task slices alive.
+// zeroed so the queue does not keep their payloads alive.
 type eventFIFO struct {
 	evs  []Event
 	head int
@@ -164,6 +209,8 @@ type eventFIFO struct {
 func (q *eventQueue) len() int { return q.n }
 
 // push enqueues ev behind every pending event of its (At, kindRank).
+//
+//lb:hotpath
 func (q *eventQueue) push(ev Event) {
 	b := q.bucket(ev.At)
 	f := &b.fifos[kindRank(ev.Kind)]
@@ -233,19 +280,40 @@ func (q *eventQueue) dropHead() {
 	q.spare = b
 }
 
-// popDue removes and returns the first event in (At, kindRank, seq) order
-// if it is due at round, that is, if its At is at most round.
-func (q *eventQueue) popDue(round int64) (Event, bool) {
-	if q.n == 0 || q.heap[0].at > round {
-		return Event{}, false
-	}
+// head returns the FIFO holding the first pending event of the earliest
+// bucket; the queue must not be empty.
+func (q *eventQueue) head() *eventFIFO {
 	b := q.heap[0]
 	r := 0
 	for b.fifos[r].head == len(b.fifos[r].evs) {
 		r++
 	}
-	f := &b.fifos[r]
-	ev := f.evs[f.head]
+	return &b.fifos[r]
+}
+
+// peekDue returns the first event in (At, kindRank, seq) order, in place
+// in its FIFO slot, if it is due at round, that is, if its At is at most
+// round; otherwise nil. The pointer is valid until the next push or pop:
+// Step applies, records and logs the event through it and then pops it,
+// and nothing pushes to the queue while an event is applied.
+//
+//lb:hotpath
+func (q *eventQueue) peekDue(round int64) *Event {
+	if q.n == 0 || q.heap[0].at > round {
+		return nil
+	}
+	f := q.head()
+	return &f.evs[f.head]
+}
+
+// pop removes the first event in (At, kindRank, seq) order, the one
+// peekDue returns, and zeroes its slot so the queue does not keep its
+// payload alive. The queue must not be empty.
+//
+//lb:hotpath
+func (q *eventQueue) pop() {
+	b := q.heap[0]
+	f := q.head()
 	f.evs[f.head] = Event{}
 	f.head++
 	if f.head == len(f.evs) {
@@ -255,5 +323,4 @@ func (q *eventQueue) popDue(round int64) (Event, bool) {
 	if b.n--; b.n == 0 {
 		q.dropHead()
 	}
-	return ev, true
 }

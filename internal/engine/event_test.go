@@ -1,9 +1,19 @@
 package engine
 
 import (
+	"bytes"
 	"container/heap"
+	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
+	"unsafe"
+
+	"repro/internal/graph"
+	"repro/internal/load"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // queued is an Event with its insertion sequence number for stable
@@ -61,21 +71,31 @@ func (p *queuePair) push(ev Event) {
 	p.seq++
 }
 
-// pop pops one due event from both queues and reports whether one was
-// due.
+// pop peeks at the due event of both queues and pops it, as Step does
+// with an event it applied or rejected, and reports whether one was due.
+// The calendar's event must be readable in place until the pop and its
+// slot zeroed after it.
 func (p *queuePair) pop() (ok bool) {
-	got, gotOK := p.cal.popDue(p.round)
+	got := p.cal.peekDue(p.round)
 	wantOK := len(p.ref) > 0 && p.ref[0].ev.At <= p.round
-	if gotOK != wantOK {
-		p.t.Fatalf("round %d: calendar due=%v, heap due=%v", p.round, gotOK, wantOK)
+	if (got != nil) != wantOK {
+		p.t.Fatalf("round %d: calendar due=%v, heap due=%v", p.round, got != nil, wantOK)
 	}
-	if !gotOK {
+	if got == nil {
 		return false
 	}
-	want := heap.Pop(&p.ref).(queued).ev
+	if again := p.cal.peekDue(p.round); again != got {
+		p.t.Fatalf("round %d: a second peek moved the event from %p to %p", p.round, got, again)
+	}
+	want := p.ref[0].ev
 	if got.At != want.At || got.Kind != want.Kind || got.Count != want.Count {
-		p.t.Fatalf("round %d: calendar popped (at %d, %v, id %d), heap (at %d, %v, id %d)",
+		p.t.Fatalf("round %d: calendar peeked (at %d, %v, id %d), heap (at %d, %v, id %d)",
 			p.round, got.At, got.Kind, got.Count, want.At, want.Kind, want.Count)
+	}
+	p.cal.pop()
+	heap.Pop(&p.ref)
+	if *got != (Event{}) {
+		p.t.Fatalf("round %d: popped slot still holds %+v", p.round, *got)
 	}
 	if p.cal.len() != len(p.ref) {
 		p.t.Fatalf("round %d: calendar holds %d events, heap %d", p.round, p.cal.len(), len(p.ref))
@@ -86,9 +106,10 @@ func (p *queuePair) pop() (ok bool) {
 // FuzzEventQueue decodes the input into Schedule calls (At in the past,
 // present and future of the current round, all five kinds, with and
 // without Schedule's clamp), full Steps that drain the due events and
-// advance the round, and Steps a rejection stops after a few pops. Every
-// pop must return the same event from the calendar queue and from the
-// container/heap reference.
+// advance the round, and Steps a rejection stops after a few pops: the
+// rejected event is peeked and dropped like an applied one, and the rest
+// stay queued. Every peek must see the same event in the calendar queue
+// as at the head of the container/heap reference.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 2, 3, 0, 4, 3, 2, 0, 0, 1, 2, 5, 2, 2})
 	f.Add([]byte{1, 9, 0, 5, 6, 3, 4, 1, 2, 0, 3, 1, 2, 2, 2, 2, 2})
@@ -132,8 +153,10 @@ func FuzzEventQueue(f *testing.F) {
 				}
 				p.round++
 			case 3:
+				// A Step that applies limit events and rejects the next,
+				// which is popped all the same.
 				limit := int(op >> 2 % 8)
-				for k := 0; k < limit && p.pop(); k++ {
+				for k := 0; k <= limit && p.pop(); k++ {
 				}
 			}
 		}
@@ -171,9 +194,10 @@ func BenchmarkEventQueueDeferred(b *testing.B) {
 						q.push(Event{At: at(i), Kind: KindTaskCompletion, Count: 1})
 					}
 					for r := int64(1); r <= int64(k); r++ {
-						if _, ok := q.popDue(r); !ok {
+						if q.peekDue(r) == nil {
 							b.Fatalf("round %d: nothing due", r)
 						}
+						q.pop()
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/event")
@@ -197,5 +221,184 @@ func BenchmarkEventQueueDeferred(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/event")
 			})
 		}
+	}
+}
+
+// TestEventSize pins the queue slot: an event is the scalar fields and one
+// payload pointer.
+func TestEventSize(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size > 48 {
+		t.Fatalf("Event is %d bytes, want at most 48", size)
+	}
+}
+
+// captureSink is a WALSink that keeps the encoded bytes of every event
+// and round record and the decoded events of every committed batch.
+type captureSink struct {
+	bytes   []byte
+	batches [][]wire.Event
+	marks   []wal.RoundMark
+	pending []wire.Event
+}
+
+func (s *captureSink) AppendEvent(ev *wire.Event) error {
+	b, err := wal.EncodeEvent(nil, ev)
+	if err != nil {
+		return err
+	}
+	s.bytes = append(s.bytes, b...)
+	s.pending = append(s.pending, *ev)
+	return nil
+}
+
+func (s *captureSink) AppendRound(m wal.RoundMark) error {
+	s.bytes = wal.EncodeRoundMark(s.bytes, m)
+	s.batches, s.pending = append(s.batches, s.pending), nil
+	s.marks = append(s.marks, m)
+	return nil
+}
+
+func (s *captureSink) WriteSnapshot(int64, []byte) error { return nil }
+
+// eventRecords returns the flight recorder's event records.
+func eventRecords(e *Engine) []TraceRecord {
+	var out []TraceRecord
+	for _, r := range e.Trace(0) {
+		if r.Type == "event" {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestArrivalRunMatchesTasks: an arrival built as a run (Arrival, a wire
+// event), as a list of equal tasks (ArrivalTasks) and replayed from the
+// log reaches the same state, logs the same WAL bytes and leaves the same
+// flight-recorder record, onto pools that hold other weights too; and so
+// does the same list pushed task by task.
+func TestArrivalRunMatchesTasks(t *testing.T) {
+	build := func(sink WALSink) *Engine {
+		g, err := graph.Torus(3, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := make(load.TaskDist, g.N())
+		tasks[4] = []load.Task{{Weight: 2}, {Weight: 1}, {Weight: 2}}
+		cfg := Config{Graph: g, Speeds: load.UniformSpeeds(g.N()), Tasks: tasks, Workers: 1}
+		if sink != nil {
+			cfg.WAL = sink
+		}
+		return mustEngine(t, cfg)
+	}
+	for _, tc := range []struct {
+		node   int
+		count  int
+		weight int64
+	}{{4, 1, 1}, {4, 4096, 1}, {4, 5, 2}, {0, 3, 7}} {
+		name := fmt.Sprintf("%d×%d@%d", tc.count, tc.weight, tc.node)
+		tasks := make([]load.Task, tc.count)
+		for i := range tasks {
+			tasks[i] = load.Task{Weight: tc.weight}
+		}
+		fromWire, err := FromWire(&WireEvent{Kind: "arrival", Node: tc.node, Tokens: tc.count, Weight: tc.weight})
+		if err != nil {
+			t.Fatal(err)
+		}
+		forms := map[string]Event{
+			"run":   {Kind: KindTaskArrival, Node: tc.node, Count: tc.count, Weight: tc.weight},
+			"tasks": ArrivalTasks(0, tc.node, tasks),
+			"wire":  fromWire,
+		}
+		if tc.weight == 1 {
+			forms["Arrival"] = Arrival(0, tc.node, tc.count)
+		}
+		ref := &captureSink{}
+		refEng := build(ref)
+		schedule(t, forms["run"], refEng)
+		if err := refEng.Run(3); err != nil {
+			t.Fatal(err)
+		}
+		for form, ev := range forms {
+			sink := &captureSink{}
+			e := build(sink)
+			schedule(t, ev, e)
+			if err := e.Run(3); err != nil {
+				t.Fatal(err)
+			}
+			if e.StateHash() != refEng.StateHash() {
+				t.Errorf("%s %s: state hash differs from the run's", name, form)
+			}
+			if !bytes.Equal(sink.bytes, ref.bytes) {
+				t.Errorf("%s %s: WAL bytes differ from the run's", name, form)
+			}
+			if got, want := eventRecords(e), eventRecords(refEng); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: flight records %+v, want %+v", name, form, got, want)
+			}
+		}
+		replay := build(nil)
+		for k, events := range ref.batches {
+			if err := replay.ReplayStep(events, ref.marks[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The same tasks pushed one by one, as an arrival carrying its task
+		// list: the pool and the trace cannot tell them from the run.
+		listed := build(nil)
+		schedule(t, Event{Kind: KindTaskArrival, Node: tc.node, Count: tc.count, payload: &eventPayload{tasks: tasks}}, listed)
+		if err := listed.Run(3); err != nil {
+			t.Fatal(err)
+		}
+		if listed.StateHash() != refEng.StateHash() {
+			t.Errorf("%s task by task: state hash differs from the run's", name)
+		}
+		if got, want := eventRecords(listed), eventRecords(refEng); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s task by task: flight records %+v, want %+v", name, got, want)
+		}
+		if replay.StateHash() != refEng.StateHash() {
+			t.Errorf("%s replayed: state hash differs from the run's", name)
+		}
+		if got, want := eventRecords(replay), eventRecords(refEng); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s replayed: flight records %+v, want %+v", name, got, want)
+		}
+		if rec := eventRecords(refEng); len(rec) != 1 || rec[0].Count != tc.count || rec[0].Weight != int64(tc.count)*tc.weight {
+			t.Errorf("%s: flight records %+v, want one of %d tasks weighing %d", name, rec, tc.count, int64(tc.count)*tc.weight)
+		}
+	}
+}
+
+// TestArrivalRejectsBadRuns: an arrival of a negative count and one whose
+// total weight overflows int64 are rejected by Step with typed errors
+// before the ledger or a pool changes, and the engine stays usable.
+func TestArrivalRejectsBadRuns(t *testing.T) {
+	g := graph.MustNew(2, [][2]int{{0, 1}})
+	tasks := load.TaskDist{{{Weight: 1}, {Weight: 1}}, nil}
+	e := mustEngine(t, Config{Graph: g, Speeds: load.UniformSpeeds(2), Tasks: tasks})
+	for _, tc := range []struct {
+		name string
+		ev   Event
+		want error
+	}{
+		{"negative count", Arrival(0, 0, -1), ErrNegativeCount},
+		{"negative completion", Completion(0, 0, -1), ErrNegativeCount},
+		{"weight overflow", Event{Kind: KindTaskArrival, Node: 1, Count: 3, Weight: math.MaxInt64/3 + 1}, ErrWeightOverflow},
+		{"list overflow", ArrivalTasks(0, 1, []load.Task{{Weight: math.MaxInt64 - 1}, {Weight: 2}}), ErrWeightOverflow},
+	} {
+		before := e.StateHash()
+		schedule(t, tc.ev, e)
+		if err := e.Step(); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Step error %v, want %v", tc.name, err, tc.want)
+		}
+		if e.StateHash() != before {
+			t.Fatalf("%s: the rejected event changed the state", tc.name)
+		}
+		if e.PendingEvents() != 0 {
+			t.Fatalf("%s: %d events still queued after the rejection", tc.name, e.PendingEvents())
+		}
+	}
+	if err := e.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AuditFull(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -144,22 +144,29 @@ type TraceRecord struct {
 	HotEdges  int     `json:"hot_edges,omitempty"`
 }
 
-// recordEvent appends an applied event to the flight recorder.
-func (e *Engine) recordEvent(ev Event) {
+// recordEvent appends an applied event to the flight recorder. An
+// arrival records its task count and total weight, whether it came as a
+// run or as a task list.
+func (e *Engine) recordEvent(ev *Event) {
 	rec := TraceRecord{Type: "event", Round: e.round, Kind: ev.Kind.String(), Node: ev.Node}
+	x := ev.ext()
 	switch ev.Kind {
 	case KindTaskArrival:
-		rec.Count = len(ev.Tasks)
-		for _, q := range ev.Tasks {
-			rec.Weight += q.Weight
+		rec.Count = ev.Count
+		if x.tasks != nil {
+			for _, q := range x.tasks {
+				rec.Weight += q.Weight
+			}
+		} else {
+			rec.Weight = int64(ev.Count) * ev.Weight
 		}
 	case KindTaskCompletion:
 		rec.Count = ev.Count
 	case KindNodeJoin:
-		rec.Count = len(ev.Peers)
-		rec.Weight = ev.Speed
+		rec.Count = len(x.peers)
+		rec.Weight = x.speed
 	case KindEdgeChange:
-		rec.Count = len(ev.AddEdges) + len(ev.RemoveEdges)
+		rec.Count = len(x.add) + len(x.remove)
 	}
 	e.traceSeq++
 	rec.Seq = e.traceSeq

@@ -42,6 +42,11 @@ type Server struct {
 	// ingest holds the streaming-ingest instruments, registered eagerly
 	// on the engine's registry so a scrape sees them before any stream.
 	ingest *ingestInstruments
+
+	// streamBufs pools the per-POST scratch of /events/stream (a
+	// *streamBufs), so a steady stream of POSTs reuses its line buffer and
+	// event batch instead of allocating them per request.
+	streamBufs sync.Pool
 }
 
 // NewServer wraps an engine. The caller must not use the engine directly

@@ -523,12 +523,12 @@ func (e *Engine) ReplayStep(events []wire.Event, mark wal.RoundMark) error {
 		if err != nil {
 			return fmt.Errorf("engine: replay round %d event %d: %w", e.round, k, err)
 		}
-		if err := e.applyEvent(ev); err != nil {
+		if err := e.applyEvent(&ev); err != nil {
 			return fmt.Errorf("engine: replay round %d %s event: %w", e.round, ev.Kind, err)
 		}
 		e.eventsApplied++
 		e.instr.eventsApplied[ev.Kind].Inc()
-		e.recordEvent(ev)
+		e.recordEvent(&ev)
 	}
 	if len(events) > 0 {
 		if err := e.checkLedger(); err != nil {
@@ -594,7 +594,7 @@ func (e *Engine) SnapshotNow() error {
 // does not heap-allocate per event.
 //
 //lb:hotpath
-func (e *Engine) logEvent(ev Event) error {
+func (e *Engine) logEvent(ev *Event) error {
 	if err := toWireInto(ev, &e.walScratch); err != nil {
 		return fmt.Errorf("%w: %v", ErrWAL, err)
 	}
@@ -633,7 +633,7 @@ func (e *Engine) walCommit() error {
 // Tokens+Weight; heterogeneous batches carry the explicit Weights list.
 func ToWire(ev Event) (wire.Event, error) {
 	var w wire.Event
-	if err := toWireInto(ev, &w); err != nil {
+	if err := toWireInto(&ev, &w); err != nil {
 		return wire.Event{}, err
 	}
 	return w, nil
@@ -645,49 +645,47 @@ var errDummyArrival = errors.New("engine: dummy task in arrival")
 
 // toWireInto fills w in place so hot callers (logEvent runs per applied
 // event) can reuse one scratch value instead of copying the struct twice.
+// A uniform arrival writes its run as Tokens+Weight; a task list, which
+// ArrivalTasks keeps only when its tasks are not all equal, writes the
+// explicit Weights list.
 //
 //lb:hotpath
-func toWireInto(ev Event, w *wire.Event) error {
+func toWireInto(ev *Event, w *wire.Event) error {
 	// Keep the scratch value's Weights capacity across resets: logEvent
 	// reuses one wire.Event per applied event, so heterogeneous arrivals
 	// amortize to zero allocations once the buffer has grown.
 	weights := w.Weights[:0]
 	*w = wire.Event{Kind: ev.Kind.String(), At: ev.At}
+	x := ev.ext()
 	switch ev.Kind {
 	case KindTaskArrival:
 		w.Node = ev.Node
-		w.Tokens = len(ev.Tasks)
-		if len(ev.Tasks) == 0 {
+		w.Tokens = ev.Count
+		if ev.Count == 0 {
 			return nil
 		}
-		uniform := true
-		for _, q := range ev.Tasks {
+		if x.tasks == nil {
+			w.Weight = ev.Weight
+			return nil
+		}
+		for _, q := range x.tasks {
 			if q.Dummy {
 				return errDummyArrival
 			}
-			if q.Weight != ev.Tasks[0].Weight {
-				uniform = false
-			}
+			weights = append(weights, q.Weight)
 		}
-		if uniform {
-			w.Weight = ev.Tasks[0].Weight
-		} else {
-			for _, q := range ev.Tasks {
-				weights = append(weights, q.Weight)
-			}
-			w.Weights = weights
-		}
+		w.Weights = weights
 	case KindTaskCompletion:
 		w.Node = ev.Node
 		w.Count = ev.Count
 	case KindNodeJoin:
-		w.Speed = ev.Speed
-		w.Peers = ev.Peers
+		w.Speed = x.speed
+		w.Peers = x.peers
 	case KindNodeLeave:
 		w.Node = ev.Node
 	case KindEdgeChange:
-		w.Add = ev.AddEdges
-		w.Remove = ev.RemoveEdges
+		w.Add = x.add
+		w.Remove = x.remove
 	default:
 		return fmt.Errorf("engine: unencodable event kind %v", ev.Kind)
 	}

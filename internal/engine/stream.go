@@ -15,10 +15,10 @@ import (
 )
 
 // maxArrivalTokens caps the task count a single wire arrival may carry.
-// Tokens is an amplification factor (a few bytes of JSON expand into an
-// allocated task slice), so an unchecked value would let one line of a
-// stream allocate gigabytes; genuine bursts far above this cap should be
-// split across lines.
+// A uniform arrival is one run whatever its size, but Tokens still scales
+// the weight the engine must absorb and an explicit Weights list is kept
+// task by task, so genuine bursts far above this cap should be split
+// across lines.
 const maxArrivalTokens = 1 << 20
 
 // WireEvent is the JSON wire form of an injected event: the body of
@@ -70,11 +70,7 @@ func fromWire(req *WireEvent, weights []int64) (Event, error) {
 		if weight < 1 {
 			return Event{}, fmt.Errorf("arrival weight %d must be >= 1", weight)
 		}
-		tasks := make([]load.Task, req.Tokens)
-		for i := range tasks {
-			tasks[i] = load.Task{Weight: weight}
-		}
-		return ArrivalTasks(req.At, req.Node, tasks), nil
+		return Event{At: req.At, Kind: KindTaskArrival, Node: req.Node, Count: req.Tokens, Weight: weight}, nil
 	case "completion":
 		if req.Count < 1 {
 			return Event{}, fmt.Errorf("completion needs count >= 1, got %d", req.Count)
@@ -168,6 +164,30 @@ func newIngestInstruments(reg *obs.Registry) *ingestInstruments {
 	}
 }
 
+// streamBufs is the per-POST scratch of handleEventStream: the scanner's
+// initial line buffer and the batch of decoded events.
+type streamBufs struct {
+	line  []byte
+	batch []Event
+}
+
+// getStreamBufs takes a streamBufs from the server's pool, sized for lim:
+// a line buffer of min(64 KiB, MaxLineBytes) and room for MaxBatch
+// events.
+func (s *Server) getStreamBufs(lim StreamLimits) *streamBufs {
+	bufs, _ := s.streamBufs.Get().(*streamBufs)
+	if bufs == nil {
+		bufs = new(streamBufs)
+	}
+	if n := min(64<<10, lim.MaxLineBytes); len(bufs.line) != n {
+		bufs.line = make([]byte, n)
+	}
+	if cap(bufs.batch) < lim.MaxBatch {
+		bufs.batch = make([]Event, 0, lim.MaxBatch)
+	}
+	return bufs
+}
+
 // handleEventStream ingests an NDJSON event stream: one WireEvent per
 // line, scheduled in batches of at most MaxBatch under the engine lock.
 //
@@ -184,6 +204,10 @@ func newIngestInstruments(reg *obs.Registry) *ingestInstruments {
 // partial-progress contract of Engine.Step extends to the stream, and
 // the applied prefix remains ledger-consistent. The response reports how
 // far the stream got (lines read, events scheduled, rounds stepped).
+//
+// The scanner's line buffer and the MaxBatch event slice come from a pool
+// on the Server, so a steady stream of POSTs decodes, batches and
+// schedules its arrivals and completions without allocating per line.
 func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
@@ -205,18 +229,25 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	lim := s.limits
+	bufs := s.getStreamBufs(lim)
+	batch := bufs.batch
+	defer func() {
+		// Pooled memory keeps no event payloads: flush clears the slots it
+		// scheduled, and this clears what an early failure left behind.
+		clear(batch)
+		bufs.batch = batch[:0]
+		s.streamBufs.Put(bufs)
+	}()
 	sc := bufio.NewScanner(r.Body)
-	initial := 64 << 10
-	if lim.MaxLineBytes < initial {
-		initial = lim.MaxLineBytes
-	}
-	sc.Buffer(make([]byte, initial), lim.MaxLineBytes)
+	// A line longer than the buffer makes the scanner allocate a larger
+	// one of its own, which dies with the scanner: only the buffer of the
+	// initial size goes back to the pool.
+	sc.Buffer(bufs.line, lim.MaxLineBytes)
 
 	var (
 		lines     int
 		scheduled int64
 		rounds    int64
-		batch     []Event
 	)
 	// fail maps an ingest error to a status: a corrupt or closed engine
 	// is a server-side failure, anything else (malformed line, rejected
@@ -268,10 +299,11 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		for k, ev := range batch {
-			if err := s.eng.Schedule(ev); err != nil {
+		for k := range batch {
+			if err := s.eng.Schedule(batch[k]); err != nil {
 				scheduled += int64(k)
 				s.ingest.events.Add(int64(k))
+				clear(batch)
 				batch = batch[:0]
 				return err
 			}
@@ -279,6 +311,7 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 		scheduled += int64(len(batch))
 		s.ingest.events.Add(int64(len(batch)))
 		s.ingest.batches.Inc()
+		clear(batch)
 		batch = batch[:0]
 		if stepMode == "auto" && s.eng.PendingEvents() >= lim.MaxPending {
 			if err := s.eng.Step(); err != nil {

@@ -24,8 +24,10 @@ import (
 //     or an out-of-range value is an error;
 //   - containers nest at most 10000 deep, the event object included.
 //
-// The only allocations are the slices the event owns: the arrival's
-// tasks, the join's peers and the edge lists.
+// The only allocations are the payloads of the rare events: an arrival's
+// task list when its weights are not all equal, a join's peers and an
+// edge change's lists. An arrival of any number of equal tasks decodes to
+// its run, and it, a completion and a leave allocate nothing.
 func ParseEventLine(line []byte) (Event, error) {
 	var w wireScratch
 	d := wireDecoder{b: line}

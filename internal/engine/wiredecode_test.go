@@ -210,10 +210,17 @@ func FuzzParseEventLine(f *testing.F) {
 		}
 		switch ev.Kind {
 		case KindTaskArrival:
-			if len(ev.Tasks) < 1 || len(ev.Tasks) > maxArrivalTokens {
-				t.Fatalf("arrival with %d tasks from %q", len(ev.Tasks), line)
+			if ev.Count < 1 || ev.Count > maxArrivalTokens {
+				t.Fatalf("arrival with %d tasks from %q", ev.Count, line)
 			}
-			for _, task := range ev.Tasks {
+			tasks := ev.ext().tasks
+			if tasks == nil && ev.Weight < 1 {
+				t.Fatalf("arrival weight %d from %q", ev.Weight, line)
+			}
+			if tasks != nil && len(tasks) != ev.Count {
+				t.Fatalf("arrival of %d tasks counts %d from %q", len(tasks), ev.Count, line)
+			}
+			for _, task := range tasks {
 				if task.Weight < 1 {
 					t.Fatalf("task weight %d from %q", task.Weight, line)
 				}
@@ -227,7 +234,7 @@ func FuzzParseEventLine(f *testing.F) {
 			}
 		case KindNodeJoin, KindNodeLeave:
 		case KindEdgeChange:
-			if len(ev.AddEdges) == 0 && len(ev.RemoveEdges) == 0 {
+			if x := ev.ext(); len(x.add) == 0 && len(x.remove) == 0 {
 				t.Fatalf("empty edge change accepted: %q", line)
 			}
 		default:

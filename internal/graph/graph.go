@@ -80,18 +80,27 @@ var (
 // the first offending edge in input order.
 //
 // New runs in O(n+m) with no hashing and a constant number of allocations:
-// one pass validates the edges and counts degrees, a second places every
-// arc in one slab through per-node cursors, in input order (edge e is the
-// e-th input edge, and every list is in increasing edge order), and the
-// slab is cut into the per-node lists. A stamp array then finds duplicates
-// as a repeated neighbour in one list. More than math.MaxInt32 nodes or
-// edges fail with ErrTooLarge before anything is allocated.
+// one pass checks every edge's range and self loops before anything is
+// allocated, a second counts degrees, a third places every arc in one slab
+// through per-node cursors, in input order (edge e is the e-th input edge,
+// and every list is in increasing edge order), and the slab is cut into
+// the per-node lists. A stamp array then finds duplicates as a repeated
+// neighbour in one list. More than math.MaxInt32 nodes or edges fail with
+// ErrTooLarge before anything is allocated, and an out-of-range edge or a
+// self loop fails before any per-node array is.
 func New(n int, edges [][2]int) (*Graph, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
 	}
 	if n > maxSlots || len(edges) > maxSlots {
 		return nil, fmt.Errorf("%w: n=%d, m=%d", ErrTooLarge, n, len(edges))
+	}
+	// An invalid list with a huge n must fail without an O(n) allocation.
+	for k, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || u >= n || v < 0 || v >= n || u == v {
+			return nil, firstEdgeError(n, edges[:k+1])
+		}
 	}
 	g := &Graph{
 		n:     n,
@@ -100,9 +109,6 @@ func New(n int, edges [][2]int) (*Graph, error) {
 	}
 	for k, e := range edges {
 		u, v := e[0], e[1]
-		if u < 0 || u >= n || v < 0 || v >= n || u == v {
-			return nil, firstEdgeError(n, edges[:k+1])
-		}
 		if u > v {
 			u, v = v, u
 		}

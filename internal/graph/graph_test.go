@@ -382,6 +382,33 @@ func TestNewTooLarge(t *testing.T) {
 	}
 }
 
+// TestNewValidatesBeforeAllocating: a self loop or an out-of-range edge
+// fails before New allocates the O(n) arrays, even at the largest n.
+func TestNewValidatesBeforeAllocating(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("an O(math.MaxInt32) allocation does not fit a 32-bit address space")
+	}
+	for _, tc := range []struct {
+		edges [][2]int
+		want  error
+	}{
+		{[][2]int{{0, 0}}, ErrSelfLoop},
+		{[][2]int{{0, 1}, {2, 2}}, ErrSelfLoop},
+		{[][2]int{{0, 1}, {0, -1}}, ErrNodeRange},
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := New(math.MaxInt32, tc.edges)
+		runtime.ReadMemStats(&m1)
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("New(MaxInt32, %v) error %v, want %v", tc.edges, err, tc.want)
+		}
+		if b := m1.TotalAlloc - m0.TotalAlloc; b > 1<<12 {
+			t.Fatalf("New(MaxInt32, %v) allocated %d bytes before failing", tc.edges, b)
+		}
+	}
+}
+
 func TestArcSignsAreConsistent(t *testing.T) {
 	g := MustNew(3, [][2]int{{0, 1}, {1, 2}})
 	for i := 0; i < g.N(); i++ {

@@ -49,7 +49,7 @@ type LedgerPolicy struct {
 }
 
 // DefaultLedgerPolicy is the production table: engine mutations flow
-// through mutateLedgered/addTasksLedgered or the decide and deliver phase
+// through mutateLedgered or the decide and deliver phase
 // bodies; dist mutations through Pool's own implementation and the
 // per-node round with its send decision.
 func DefaultLedgerPolicy() LedgerPolicy {
@@ -66,10 +66,9 @@ func DefaultLedgerPolicy() LedgerPolicy {
 			// draws are folded at the round barrier. Event-path mutations go
 			// through the ledgered helpers.
 			"internal/engine": {
-				"mutateLedgered":   true,
-				"addTasksLedgered": true,
-				"decideNode":       true,
-				"deliverNode":      true,
+				"mutateLedgered": true,
+				"decideNode":     true,
+				"deliverNode":    true,
 			},
 			"internal/dist": {
 				"runRound":    true,
@@ -101,8 +100,8 @@ bypassed AddTasks makes conservation drift silently until a distant batch
 boundary reports corruption with no culprit attached. This check computes,
 over the static call graph, that every call (or escaping method value) of a
 weight-bearing dist.Pool method is lexically reached through
-mutateLedgered/addTasksLedgered — whose contract is "mutate, then fold the
-counter deltas" — or one of the approved round phases, which fold their
+mutateLedgered — whose contract is "mutate, then fold the counter
+deltas" — or one of the approved round phases, which fold their
 dummy draws at the round barrier. To add a new mutation path, route it
 through mutateLedgered or extend the approved table in the same commit that
 reviews its ledger fold.`
@@ -230,7 +229,7 @@ func (lf *LedgerFlow) checkFunc(pkg *Package, fd *ast.FuncDecl, approved, condui
 				}
 				pos := pkg.Fset.Position(m.Pos())
 				out = append(out, diag(lf.Name(), pos,
-					"%s mutates pool weight outside the ledger: reached from %s, not from %s; route it through mutateLedgered/addTasksLedgered or an approved round phase",
+					"%s mutates pool weight outside the ledger: reached from %s, not from %s; route it through mutateLedgered or an approved round phase",
 					m.Sel.Name, funcDisplayName(fd), approvedList(approved)))
 				return true
 			case *ast.CallExpr:
@@ -240,7 +239,7 @@ func (lf *LedgerFlow) checkFunc(pkg *Package, fd *ast.FuncDecl, approved, condui
 				for _, arg := range lf.guardedArgs(pkg, m) {
 					pos := pkg.Fset.Position(arg.Pos())
 					out = append(out, diag(lf.Name(), pos,
-						"the pool is handed to %s as an interface with a weight-bearing method, outside the ledger: reached from %s, not from %s; route it through mutateLedgered/addTasksLedgered or an approved round phase",
+						"the pool is handed to %s as an interface with a weight-bearing method, outside the ledger: reached from %s, not from %s; route it through mutateLedgered or an approved round phase",
 						types.ExprString(m.Fun), funcDisplayName(fd), approvedList(approved)))
 				}
 				return true

@@ -23,12 +23,6 @@ func (e *engine) mutateLedgered(p *dist.Pool, mutate func()) {
 	e.ledReal++
 }
 
-// addTasksLedgered is the approved arrival path.
-func (e *engine) addTasksLedgered(p *dist.Pool, ts []dist.Task) {
-	p.AddTasks(ts)
-	e.ledReal++
-}
-
 // applyArrival is admitted: the mutation sits in a conduit literal.
 func (e *engine) applyArrival(p *dist.Pool, ts []dist.Task) {
 	e.mutateLedgered(p, func() {
