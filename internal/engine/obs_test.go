@@ -2,8 +2,14 @@ package engine
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -304,4 +310,127 @@ func TestRingConcurrentReads(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// observabilityTranscript records a stream on a 4x4 torus with the given
+// sample cadence and windows and returns what GET /metrics and GET
+// /debug/trace serve afterwards, with step_nanos masked, followed by the
+// engine_trace_dropped_records gauge. Rounds 0-3 and 7-29 run live;
+// rounds 4-6 are replayed through ReplayStep from a run that logged them.
+// The stream covers a run arrival, a task-list arrival, a completion, a
+// join with peers, an edge change, a leave and a rejected event, which
+// takes the error-path sample.
+func observabilityTranscript(t *testing.T, windows Config) []byte {
+	t.Helper()
+	build := func(sink WALSink) *Engine {
+		g, err := graph.Torus(4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := windows
+		cfg.Graph, cfg.Speeds, cfg.Workers = g, load.UniformSpeeds(g.N()), 1
+		if sink != nil {
+			cfg.WAL = sink
+		}
+		return mustEngine(t, cfg)
+	}
+	sink := &captureSink{}
+	src, e := build(sink), build(nil)
+	schedule(t, Arrival(0, 1, 5), src, e)
+	schedule(t, Completion(1, 1, 2), src, e)
+	if err := src.Run(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(4); err != nil {
+		t.Fatal(err)
+	}
+	schedule(t, ArrivalTasks(4, 2, []load.Task{{Weight: 3}, {Weight: 1}, {Weight: 3}}), src)
+	schedule(t, Arrival(5, 9, 6), src)
+	schedule(t, Completion(6, 2, 1), src)
+	if err := src.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	for k := 4; k < len(sink.batches); k++ {
+		if err := e.ReplayStep(sink.batches[k], sink.marks[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ev := range []Event{
+		Arrival(7, 7, 9),
+		Join(8, 3, 0, 5),
+		EdgeChange(9, [][2]int{{1, 6}}, [][2]int{{5, 6}}),
+		ArrivalTasks(10, 16, []load.Task{{Weight: 2}, {Weight: 5}}),
+		Completion(11, 7, 3),
+		Leave(12, 999),
+		Leave(12, 3),
+		Arrival(14, 16, 40),
+		Completion(16, 16, 1),
+		Leave(18, 16),
+	} {
+		schedule(t, ev, e)
+	}
+	samples, rejected := 2, 0 // rounds 2 and 4
+	for e.Round() < 30 {
+		err := e.Step()
+		if err != nil {
+			rejected++
+		}
+		if err != nil || e.Round()%2 == 0 {
+			samples++
+		}
+	}
+	if rejected != 1 {
+		t.Fatalf("%d steps failed, want the one rejected leave", rejected)
+	}
+
+	var out bytes.Buffer
+	h := NewServer(e).Handler()
+	for _, path := range []string{"/metrics", "/metrics?n=2", "/debug/trace", "/debug/trace?n=3"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, rec.Code)
+		}
+		fmt.Fprintf(&out, "== GET %s\n", path)
+		out.Write(stepNanosRE.ReplaceAll(rec.Body.Bytes(), []byte(`"step_nanos":${1}0`)))
+	}
+	e.PublishMetrics()
+	dropped := scrape(t, e)["engine_trace_dropped_records"]
+	if want := e.EventsApplied() + int64(samples) - int64(windows.FlightWindow); dropped != float64(want) {
+		t.Errorf("engine_trace_dropped_records = %v, want %d", dropped, want)
+	}
+	fmt.Fprintf(&out, "== engine_trace_dropped_records %v\n", dropped)
+	return out.Bytes()
+}
+
+// stepNanosRE matches a step_nanos field in indented or compact JSON.
+var stepNanosRE = regexp.MustCompile(`"step_nanos":( ?)[0-9]+`)
+
+// TestObservabilityGolden pins GET /metrics and GET /debug/trace byte for
+// byte on a recorded stream sampled every second round, with a flight
+// window below and above the rounds the metrics window covers, so both
+// windows evict. Regenerate with -update only for an intended change of
+// the served bytes.
+func TestObservabilityGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		flight int
+	}{{"flight_below", 6}, {"flight_above", 26}} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := observabilityTranscript(t, Config{MetricsWindow: 4, SampleEvery: 2, FlightWindow: tc.flight})
+			golden := filepath.Join("testdata", "observability_"+tc.name+".golden")
+			if *updateGolden {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run `go test ./internal/engine -run TestObservabilityGolden -update` to generate)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("served observability bytes drifted from %s:\n%s", golden, got)
+			}
+		})
+	}
 }
