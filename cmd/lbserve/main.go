@@ -1,6 +1,9 @@
 // Command lbserve runs the online load balancing engine as an HTTP daemon:
 // an always-on Algorithm 1 over a mutable topology, with event injection,
-// snapshots and streaming metrics served against the live engine.
+// snapshots and streaming metrics served against the live engine. The
+// engine stores each round sample once: GET /metrics serves the newest
+// -window of them, the flight recorder's round records name them, and the
+// Prometheus gauges are refreshed from the live state at scrape time.
 //
 // Usage:
 //
@@ -22,7 +25,8 @@
 //	                             timing histograms, ingest counters, and the
 //	                             Theorem 3 discrepancy gauges
 //	GET  /debug/trace[?n=K]      flight recorder dump (JSONL): the last
-//	                             -trace applied events + round summaries
+//	                             -trace applied events + round summaries,
+//	                             rendered from 48-byte entries when read
 //	GET  /debug/pprof/...        net/http/pprof profiles (with -pprof)
 //	POST /events                 inject an event, e.g.
 //	                             {"kind":"arrival","node":3,"tokens":500}
@@ -107,7 +111,7 @@ func run() error {
 		maxSpeed  = flag.Int64("maxspeed", 1, "random speeds in {1..maxspeed}")
 		seed      = flag.Int64("seed", 1, "random seed for speeds and initial placement")
 		workers   = flag.Int("workers", 0, "sharding workers for the hot path (0 = GOMAXPROCS)")
-		window    = flag.Int("window", 4096, "metrics ring capacity")
+		window    = flag.Int("window", 4096, "samples GET /metrics returns; the engine keeps max(-window, -trace) samples")
 		sample    = flag.Int("sample", 1, "take a metrics sample every N rounds")
 		rate      = flag.Float64("rate", 0, "rounds per second to step automatically (0 = manual /step)")
 		audit     = flag.Bool("audit", false, "deep audit: full conservation recount after every applied event")
@@ -129,7 +133,7 @@ func run() error {
 		streamMaxline = flag.Int("stream-maxline", 0, "max NDJSON line length in bytes (0 = default)")
 		streamPending = flag.Int("stream-pending", 0, "queue depth that triggers stream backpressure (0 = default)")
 
-		traceWindow = flag.Int("trace", 1024, "flight recorder capacity (recent events + round summaries, GET /debug/trace)")
+		traceWindow = flag.Int("trace", 1024, "flight recorder capacity in 48-byte entries (recent events + round summaries, GET /debug/trace)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logFormat   = flag.String("log-format", "text", "log output format (text|json)")
 	)

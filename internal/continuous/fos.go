@@ -98,9 +98,11 @@ func ApplyDiffusionMatrix(g *graph.Graph, s load.Speeds, alpha Alphas, dst, src 
 		for _, a := range g.Neighbors(i) {
 			r := alpha[a.Edge] / float64(s[i])
 			self -= r
-			acc += r * src[a.To]
+			// float64(...) rounds each product on its own, so no
+			// architecture fuses it into the sum (see cmd/lbfma).
+			acc += float64(r * src[a.To])
 		}
-		dst[i] = self*src[i] + acc
+		dst[i] = float64(self*src[i]) + acc
 	}
 }
 

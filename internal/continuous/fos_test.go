@@ -220,7 +220,7 @@ func TestDiffusionLambdaCycleMatchesFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 1.0/3 + 2.0/3*math.Cos(2*math.Pi/n)
+	want := 1.0/3 + float64(2.0/3*math.Cos(2*math.Pi/n))
 	if math.Abs(got-want) > 1e-3 {
 		t.Errorf("λ = %v, want %v", got, want)
 	}

@@ -52,7 +52,7 @@ func TestMatchingEqualizesPairMakespans(t *testing.T) {
 	if math.Abs(x[0]-40) > tol || math.Abs(x[1]-60) > tol {
 		t.Errorf("after one exchange: x = %v, want [40 60]", x)
 	}
-	if math.Abs(x[0]/2-x[1]/3) > tol {
+	if math.Abs(float64(x[0]/2)-float64(x[1]/3)) > tol {
 		t.Errorf("makespans not equalized: %v vs %v", x[0]/2, x[1]/3)
 	}
 }

@@ -197,7 +197,7 @@ func TestLemma2Property(t *testing.T) {
 		}
 		x0 := make([]float64, g.N())
 		for i := range x0 {
-			x0[i] = float64(rng.Intn(60)) + ell*float64(s[i])
+			x0[i] = float64(rng.Intn(60)) + float64(ell*float64(s[i]))
 		}
 		a, err := DefaultAlphas(g, s)
 		if err != nil {
@@ -223,7 +223,7 @@ func TestLemma2Property(t *testing.T) {
 						outNet += net
 					}
 				}
-				if x[i]-outNet < ell*float64(s[i])-1e-7 {
+				if x[i]-outNet < float64(ell*float64(s[i]))-1e-7 {
 					return false
 				}
 			}

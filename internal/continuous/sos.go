@@ -87,8 +87,10 @@ func (p *SOS) Step() *Flows {
 			y[2*e] = base
 			y[2*e+1] = baseR
 		} else {
-			y[2*e] = (p.beta-1)*p.prevY[2*e] + p.beta*base
-			y[2*e+1] = (p.beta-1)*p.prevY[2*e+1] + p.beta*baseR
+			// float64(...) rounds each product on its own, so no
+			// architecture fuses them into the sum.
+			y[2*e] = float64((p.beta-1)*p.prevY[2*e]) + float64(p.beta*base)
+			y[2*e+1] = float64((p.beta-1)*p.prevY[2*e+1]) + float64(p.beta*baseR)
 		}
 	}
 	applyFlows(p.g, p.x, y)

@@ -139,7 +139,7 @@ func TestLemma6Identity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dwmax := float64(g.MaxDegree()) * float64(fi.Wmax())
+	dwmax := float64(float64(g.MaxDegree()) * float64(fi.Wmax()))
 	for round := 0; round < 80; round++ {
 		fi.Step()
 		if fi.DummiesCreated() != 0 {

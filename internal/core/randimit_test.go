@@ -166,7 +166,7 @@ func TestTheorem8Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := float64(g.MaxDegree())
-	bound := d/4 + 3*math.Sqrt(d*math.Log(float64(g.N())))
+	bound := float64(d/4) + float64(3*math.Sqrt(d*math.Log(float64(g.N()))))
 	for seed := int64(0); seed < 6; seed++ {
 		ri, err := NewRandomizedFlowImitation(g, s, x0, factory, rand.New(rand.NewSource(seed)))
 		if err != nil {
@@ -199,7 +199,7 @@ func TestLemma11NoDummiesWithFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := float64(g.MaxDegree())
-	ell := int64(math.Ceil(d/4 + 2*math.Sqrt(d*math.Log(float64(g.N())))))
+	ell := int64(math.Ceil(float64(d/4) + float64(2*math.Sqrt(d*math.Log(float64(g.N()))))))
 	x0, err := workload.AddFloor(base, s, ell)
 	if err != nil {
 		t.Fatal(err)

@@ -86,7 +86,7 @@ func (d *poolPair) gap() float64 {
 		}
 		return g
 	default: // a gap below the first threshold, or negative
-		return thr - float64(c)/64
+		return thr - float64(float64(c)/64)
 	}
 }
 

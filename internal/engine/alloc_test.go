@@ -61,7 +61,7 @@ func TestHotRoundAllocatesNothing(t *testing.T) {
 // TestStepAllocatesNothing: a full Step at SampleEvery 1, lbserve's
 // default, allocates nothing on a fully hot torus: the round as above,
 // then the metrics sample, whose exact Φ divides on reused scratch
-// integers (quoFloat64), and the ring, gauge and flight-recorder writes.
+// integers (quoFloat64), and its write with its round entry.
 func TestStepAllocatesNothing(t *testing.T) {
 	e := hotTorus(t)
 	if e.sampleEvery != 1 {
@@ -96,6 +96,25 @@ func TestCompletionAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("a completion allocates %v times, want 0", allocs)
+	}
+}
+
+// TestRecordEventAllocatesNothing: recording an applied task-list
+// arrival, join or edge change copies the event's header into the flight
+// recorder without allocating and keeps no pointer to its payload.
+func TestRecordEventAllocatesNothing(t *testing.T) {
+	e := hotTorus(t)
+	for _, ev := range []Event{
+		ArrivalTasks(0, 5, []load.Task{{Weight: 2}, {Weight: 7}, {Weight: 1}}),
+		Join(0, 2, 0, 1, 2),
+		EdgeChange(0, [][2]int{{0, 33}}, [][2]int{{0, 1}}),
+	} {
+		if allocs := testing.AllocsPerRun(20, func() { e.recordEvent(&ev) }); allocs != 0 {
+			t.Errorf("recording a %s event allocates %v times, want 0", ev.Kind, allocs)
+		}
+		if entry := e.win.trace.At(e.win.trace.Total() - 1); entry.payload != nil || entry.Kind != ev.Kind {
+			t.Errorf("%s trace entry %+v keeps the payload or loses the kind", ev.Kind, entry)
+		}
 	}
 }
 

@@ -29,8 +29,8 @@ func scanDiscrepancies(e *Engine) (maxAvg, maxMin, potential float64) {
 		m := real / float64(e.s[i])
 		hi = math.Max(hi, m)
 		lo = math.Min(lo, m)
-		dev := real - float64(e.s[i])*ratio
-		potential += dev * dev
+		dev := real - float64(float64(e.s[i])*ratio)
+		potential += float64(dev * dev)
 	}
 	return hi - ratio, hi - lo, potential
 }

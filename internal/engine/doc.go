@@ -26,7 +26,7 @@
 // the totals once per event batch in O(1) — a burst of k arrivals costs
 // O(k), not k stop-the-world recounts. The full recount survives as
 // Engine.AuditFull: the opt-in deep-audit mode (Config.DeepAudit,
-// WithDeepAudit, lbserve -audit) runs it after every applied event, tests
+// lbserve -audit) runs it after every applied event, tests
 // invoke it at quiescence, and a ledger mismatch falls back to it for a
 // precise per-node diagnostic. The per-node hot path (send decisions via
 // core.Forward over dist.Pool pools) is sharded across a bounded worker
@@ -58,9 +58,13 @@
 // steady stream of arrivals and completions allocates almost nothing per
 // line.
 //
-// A streaming metrics ring records discrepancy, potential Φ, dummy-token
-// counts and per-round latency; cmd/lbserve exposes the ring, snapshots
-// and event injection over HTTP. The discrepancy quantities come from an
+// Each round sample (discrepancy, potential Φ, dummy-token counts and
+// per-round latency) is stored once, in a window that also holds the
+// flight recorder: 48-byte event headers and round entries that name
+// their sample, rendered as TraceRecords only when read. Samples and
+// Trace read that window; PublishMetrics copies the current values into
+// the registry gauges at scrape time. cmd/lbserve exposes the window,
+// snapshots and event injection over HTTP. The discrepancy quantities come from an
 // exact incremental tracker that re-reads only the pools a round or event
 // touched, so a sample costs O(changed), not O(n).
 package engine

@@ -27,8 +27,10 @@ type Config struct {
 	// Workers bounds the sharding pool for the per-node hot path;
 	// 0 means GOMAXPROCS.
 	Workers int
-	// MetricsWindow is the capacity of the streaming metrics ring;
-	// 0 means 1024.
+	// MetricsWindow is how many of the newest samples Samples and GET
+	// /metrics return; 0 means 1024. The engine holds
+	// max(MetricsWindow, FlightWindow) samples, each stored once: the
+	// flight recorder's round records render from the same samples.
 	MetricsWindow int
 	// SampleEvery takes a metrics sample every that many rounds;
 	// 0 means every round.
@@ -36,7 +38,8 @@ type Config struct {
 	// DeepAudit forces the stop-the-world conservation recount
 	// (AuditFull) after every applied event, restoring the exhaustive
 	// per-event diagnostics. The default is the O(1) incremental ledger
-	// check once per event batch; see WithDeepAudit.
+	// check once per event batch, which falls back to AuditFull only when
+	// the ledger disagrees. lbserve exposes this as -audit.
 	DeepAudit bool
 	// Registry receives the engine's metrics (per-stage step timings,
 	// event counters, discrepancy gauges); nil gives the engine a private
@@ -46,7 +49,9 @@ type Config struct {
 	Registry *obs.Registry
 	// FlightWindow is the capacity of the flight recorder — the bounded
 	// ring of recent applied events and round summaries dumped by
-	// GET /debug/trace; 0 means 1024.
+	// GET /debug/trace; 0 means 1024. An applied event takes one 48-byte
+	// entry; a round summary takes one entry and names its sample, which
+	// the engine keeps for as long as the entry (see MetricsWindow).
 	FlightWindow int
 	// WAL, when non-nil, is the durability sink the engine logs through:
 	// every applied event and every round boundary is appended before Step
@@ -110,9 +115,9 @@ func (m *outMsg) reset() {
 //
 // An Engine is not safe for concurrent use; the HTTP server serializes
 // access. The exceptions are the internally locked read surfaces —
-// Samples, LastSample and Trace (ring buffers) plus the registry's
-// instruments (atomics) — which may be read while another goroutine holds
-// the serialization domain and steps.
+// Samples, LastSample and Trace (one store of samples and trace entries)
+// plus the registry's instruments (atomics) — which may be read while
+// another goroutine holds the serialization domain and steps.
 type Engine struct {
 	topo *graph.Dynamic
 	pool *workerPool
@@ -172,15 +177,13 @@ type Engine struct {
 	deepAudit  bool
 	fullAudits int64
 
-	ring        *Ring
 	sampleEvery int
 	closed      bool
 
-	// instr holds the metrics-registry handles (pre-registered in New);
-	// flight is the bounded recorder of applied events + round summaries.
-	instr    *instruments
-	flight   *obs.FlightRecorder[TraceRecord]
-	traceSeq int64
+	// instr holds the metrics-registry handles (pre-registered in
+	// newEngine); win holds the recent samples and the flight recorder.
+	instr *instruments
+	win   window
 
 	// poisoned latches the first ErrInconsistent Step failure so every
 	// later Step fails with it too — the "must not be stepped further"
@@ -247,47 +250,8 @@ func New(cfg Config) (*Engine, error) {
 	if err := tasks.Validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		// Worker-count default. Round phases are sharded race-free (single
-		// writer per slot, forEach barriers), so results are bit-identical
-		// for any worker count — parallelism is a throughput knob only.
-		workers = runtime.GOMAXPROCS(0) //lb:statefree worker-count default; sharded phases are bit-identical for any worker count
-	}
-	window := cfg.MetricsWindow
-	if window <= 0 {
-		window = 1024
-	}
-	sampleEvery := cfg.SampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = 1
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	flightWindow := cfg.FlightWindow
-	if flightWindow <= 0 {
-		flightWindow = 1024
-	}
-	e := &Engine{
-		topo:        graph.NewDynamic(g),
-		pool:        newWorkerPool(workers),
-		s:           make([]int64, g.N()),
-		x:           make([]float64, g.N()),
-		pools:       make([]dist.Pool, g.N()),
-		fA:          make([]float64, g.M()),
-		fD:          make([]int64, g.M()),
-		net:         make([]float64, g.M()),
-		gap:         make([]float64, g.M()),
-		outbox:      make([]outMsg, g.M()),
-		wmax:        tasks.MaxWeight(),
-		ring:        newRing(window),
-		sampleEvery: sampleEvery,
-		deepAudit:   cfg.DeepAudit,
-		instr:       newInstruments(reg),
-		flight:      obs.NewFlightRecorder[TraceRecord](flightWindow),
-	}
+	e := newEngine(cfg, graph.NewDynamic(g))
+	e.wmax = tasks.MaxWeight()
 	copy(e.s, cfg.Speeds)
 	for _, sp := range cfg.Speeds {
 		e.speedSum += sp
@@ -304,21 +268,68 @@ func New(cfg Config) (*Engine, error) {
 	// execution) count as already drawn from the infinite source.
 	e.retiredDummies = e.ledTotal - e.ledReal
 	e.ledCreated = e.retiredDummies
-	alpha, err := continuous.DefaultAlphas(g, cfg.Speeds)
-	if err != nil {
-		e.pool.close()
-		return nil, err
+	for id := range e.alpha {
+		e.alpha[id] = e.edgeAlpha(id)
 	}
-	e.alpha = alpha
-	e.initGate()
 	e.initTracker()
+	return e.start(cfg)
+}
+
+// newEngine resolves cfg's defaults and returns an engine over topo with
+// zeroed per-node and per-edge slot arrays, which New and NewFromState
+// then fill; start finishes both.
+func newEngine(cfg Config, topo *graph.Dynamic) *Engine {
+	ns, es := topo.NodeSlots(), topo.EdgeSlots()
+	reg := cfg.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	return &Engine{
+		topo:        topo,
+		s:           make([]int64, ns),
+		x:           make([]float64, ns),
+		pools:       make([]dist.Pool, ns),
+		alpha:       make([]float64, es),
+		fA:          make([]float64, es),
+		fD:          make([]int64, es),
+		net:         make([]float64, es),
+		gap:         make([]float64, es),
+		outbox:      make([]outMsg, es),
+		sampleEvery: max(cfg.SampleEvery, 1),
+		deepAudit:   cfg.DeepAudit,
+		instr:       newInstruments(reg),
+		win:         newWindow(cfg.MetricsWindow, cfg.FlightWindow),
+	}
+}
+
+// start starts the worker pool of a filled-in engine, wakes its whole
+// graph and attaches cfg.WAL, if any.
+func (e *Engine) start(cfg Config) (*Engine, error) {
+	workers := cfg.Workers
+	if workers <= 0 {
+		// Worker-count default. Round phases are sharded race-free (single
+		// writer per slot, forEach barriers), so results are bit-identical
+		// for any worker count — parallelism is a throughput knob only.
+		workers = runtime.GOMAXPROCS(0) //lb:statefree worker-count default; sharded phases are bit-identical for any worker count
+	}
+	e.pool = newWorkerPool(workers)
+	// Gate state is never stored: waking the whole graph is the
+	// conservative reconstruction, and over-waking preserves semantics.
+	e.initGate()
 	if cfg.WAL != nil {
 		if err := e.AttachWAL(cfg.WAL, cfg.SnapshotEvery); err != nil {
-			e.pool.close()
+			e.Close()
 			return nil, err
 		}
 	}
 	return e, nil
+}
+
+// edgeAlpha derives edge id's diffusion parameter from its endpoints'
+// speeds and degrees.
+func (e *Engine) edgeAlpha(id int) float64 {
+	u, v := e.topo.EdgeEndpoints(id)
+	return continuous.EdgeAlpha(e.s[u], e.s[v], e.topo.Degree(u), e.topo.Degree(v))
 }
 
 // Close releases the worker pool. The engine's state stays readable; Step
@@ -360,17 +371,6 @@ func (e *Engine) Topology() *graph.Dynamic { return e.topo }
 // tokens imported with the initial distribution. It reads the incremental
 // ledger, so it is O(1).
 func (e *Engine) DummiesCreated() int64 { return e.ledCreated }
-
-// WithDeepAudit toggles deep-audit mode and returns the engine. With deep
-// audit on, every applied event is followed by the stop-the-world
-// AuditFull recount — the exhaustive O(n·W) diagnostic posture. With it
-// off (the default), the event loop validates the incremental conservation
-// ledger in O(1) once per event batch and only falls back to AuditFull
-// when the ledger disagrees. lbserve exposes this as -audit.
-func (e *Engine) WithDeepAudit(on bool) *Engine {
-	e.deepAudit = on
-	return e
-}
 
 // FullAudits returns how many times the full conservation recount
 // (AuditFull) has run — in default mode, zero unless a caller invoked it
@@ -421,8 +421,8 @@ func unknownKindError(k Kind) error {
 // node, invalid topology change) mutates nothing — and conservation is
 // validated against the incremental ledger in O(1) once at the batch
 // boundary, so a burst of k arrivals costs O(k) before balancing rather
-// than k full pool recounts. With deep audit enabled (Config.DeepAudit,
-// WithDeepAudit), AuditFull runs after every applied event instead.
+// than k full pool recounts. With deep audit enabled (Config.DeepAudit),
+// AuditFull runs after every applied event instead.
 //
 // Partial-progress contract: if an event mid-batch fails, the events
 // applied before it in the same batch STAY applied, the remaining due
@@ -899,8 +899,7 @@ func (e *Engine) refreshAlphas(nodes []int) {
 		}
 		for _, a := range e.topo.Neighbors(i) {
 			id := int(a.Edge)
-			u, v := e.topo.EdgeEndpoints(id)
-			e.alpha[id] = continuous.EdgeAlpha(e.s[u], e.s[v], e.topo.Degree(u), e.topo.Degree(v))
+			e.alpha[id] = e.edgeAlpha(id)
 			e.gate.edgePending.set(id)
 		}
 	}
@@ -967,7 +966,7 @@ func (e *Engine) checkLedger() error {
 // The default event path never calls it — Step validates the incremental
 // ledger in O(1) per event batch and falls back to AuditFull only on a
 // mismatch, to produce a precise diagnostic. Deep-audit mode
-// (Config.DeepAudit, WithDeepAudit, lbserve -audit) restores the recount
+// (Config.DeepAudit, lbserve -audit) restores the recount
 // after every applied event; tests invoke it at quiescence.
 func (e *Engine) AuditFull() error {
 	e.fullAudits++
@@ -1024,8 +1023,7 @@ func (e *Engine) discrepancies() (maxAvg, maxMin, potential float64) {
 	return maxAvg, maxMin, e.potential()
 }
 
-// sample appends one metrics sample to the ring, refreshes the registry
-// gauges, and appends a round summary to the flight recorder.
+// sample appends one metrics sample and its round entry to the window.
 func (e *Engine) sample(elapsed time.Duration) {
 	maxAvg, maxMin, potential := e.discrepancies()
 	s := Sample{
@@ -1042,21 +1040,13 @@ func (e *Engine) sample(elapsed time.Duration) {
 		HotNodes:  e.HotNodes(),
 		HotEdges:  e.HotEdges(),
 	}
-	e.ring.append(s)
-	e.instr.publish(e, maxAvg, maxMin, potential)
-	e.recordRound(s)
+	pending := e.queue.len()
+	w := &e.win
+	w.mu.Lock()
+	w.trace.Append(Event{Count: pending, Weight: w.samples.Total()})
+	w.samples.Append(s)
+	w.mu.Unlock()
 }
-
-// Samples returns up to max metrics samples in chronological order (all
-// buffered samples when max <= 0). The sample ring is internally locked,
-// so Samples and LastSample are safe to call concurrently with a Step
-// running under the server mutex — they are the engine's only
-// lock-free-read surface (see Ring's concurrency contract).
-func (e *Engine) Samples(max int) []Sample { return e.ring.Samples(max) }
-
-// LastSample returns the most recent metrics sample, if any. Safe to call
-// concurrently with Step; see Samples.
-func (e *Engine) LastSample() (Sample, bool) { return e.ring.Last() }
 
 // Snapshot is a point-in-time summary of the runtime, JSON-friendly for
 // the lbserve daemon.

@@ -387,29 +387,3 @@ func TestEngineHandoffToCluster(t *testing.T) {
 		t.Fatalf("handed-off run stuck at max-avg %.2f > bound %.1f", maxAvg, bound)
 	}
 }
-
-// TestRingWindow exercises the metrics ring eviction.
-func TestRingWindow(t *testing.T) {
-	r := newRing(4)
-	if _, ok := r.Last(); ok {
-		t.Fatal("empty ring has a last sample")
-	}
-	for i := int64(1); i <= 6; i++ {
-		r.append(Sample{Round: i})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("ring length %d, want 4", r.Len())
-	}
-	got := r.Samples(0)
-	for k, want := range []int64{3, 4, 5, 6} {
-		if got[k].Round != want {
-			t.Fatalf("sample %d round %d, want %d", k, got[k].Round, want)
-		}
-	}
-	if last, _ := r.Last(); last.Round != 6 {
-		t.Fatalf("last round %d, want 6", last.Round)
-	}
-	if got := r.Samples(2); len(got) != 2 || got[0].Round != 5 {
-		t.Fatalf("Samples(2) = %+v", got)
-	}
-}

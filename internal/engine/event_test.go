@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/load"
+	"repro/internal/obs"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -230,6 +231,21 @@ func TestEventSize(t *testing.T) {
 	if size := unsafe.Sizeof(Event{}); size > 48 {
 		t.Fatalf("Event is %d bytes, want at most 48", size)
 	}
+}
+
+// TestTraceEntrySize pins the flight recorder's entry: no larger than an
+// event, however the entry type changes.
+func TestTraceEntrySize(t *testing.T) {
+	var w window
+	if size := ringElemSize(&w.trace); size > 48 {
+		t.Fatalf("a trace entry is %d bytes, want at most 48", size)
+	}
+}
+
+// ringElemSize returns the size of a ring's element type.
+func ringElemSize[T any](*obs.Ring[T]) uintptr {
+	var v T
+	return unsafe.Sizeof(v)
 }
 
 // captureSink is a WALSink that keeps the encoded bytes of every event

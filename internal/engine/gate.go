@@ -434,8 +434,10 @@ func (e *Engine) flowWord(lo, hi int) {
 			g.nodeHot.set(u)
 			g.nodeHot.set(v)
 		}
-		yuv := alpha[k] / float64(s[u]) * x[u]
-		yvu := alpha[k] / float64(s[v]) * x[v]
+		// float64(...) keeps each product rounded on its own: no
+		// architecture may fuse it into the subtraction below.
+		yuv := float64(alpha[k] / float64(s[u]) * x[u])
+		yvu := float64(alpha[k] / float64(s[v]) * x[v])
 		n := yuv - yvu
 		net[k] = n
 		f := fA[k] + n

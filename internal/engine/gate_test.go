@@ -27,8 +27,8 @@ func (e *Engine) referenceRound() {
 			e.net[id] = 0
 			continue
 		}
-		yuv := e.alpha[id] / float64(e.s[u]) * e.x[u]
-		yvu := e.alpha[id] / float64(e.s[v]) * e.x[v]
+		yuv := float64(e.alpha[id] / float64(e.s[u]) * e.x[u])
+		yvu := float64(e.alpha[id] / float64(e.s[v]) * e.x[v])
 		n := yuv - yvu
 		e.net[id] = n
 		e.fA[id] += n

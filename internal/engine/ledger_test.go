@@ -223,34 +223,29 @@ func TestEngineBurstNoFullRecount(t *testing.T) {
 }
 
 // TestEngineDeepAuditMode: with deep audit on, every applied event runs
-// the full recount; WithDeepAudit(false) switches back to the ledger.
+// the full recount; with it off, the same stream runs none.
 func TestEngineDeepAuditMode(t *testing.T) {
-	g := graph.MustNew(2, [][2]int{{0, 1}})
-	e, err := New(Config{Graph: g, Speeds: load.UniformSpeeds(2), DeepAudit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for k := 0; k < 3; k++ {
-		if err := e.Schedule(Arrival(0, k%2, 5)); err != nil {
+	for _, tc := range []struct {
+		deep bool
+		want int64
+	}{{true, 3}, {false, 0}} {
+		g := graph.MustNew(2, [][2]int{{0, 1}})
+		e, err := New(Config{Graph: g, Speeds: load.UniformSpeeds(2), DeepAudit: tc.deep})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := e.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.FullAudits(); got != 3 {
-		t.Fatalf("deep audit ran %d recounts for 3 events, want 3", got)
-	}
-	e.WithDeepAudit(false)
-	if err := e.Schedule(Arrival(e.Round(), 0, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.FullAudits(); got != 3 {
-		t.Fatalf("recounts after disabling deep audit: %d, want still 3", got)
+		defer e.Close()
+		for k := 0; k < 3; k++ {
+			if err := e.Schedule(Arrival(0, k%2, 5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.FullAudits(); got != tc.want {
+			t.Fatalf("DeepAudit=%v ran %d recounts for 3 events, want %d", tc.deep, got, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package engine
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/obs"
+)
 
 // Sample is one round's streamed measurements: the discrepancy metrics the
 // paper bounds, the dummy-token count, the workload totals, topology size,
@@ -35,85 +39,59 @@ type Sample struct {
 	HotEdges int `json:"hot_edges"`
 }
 
-// Ring is a fixed-capacity ring buffer of samples — the engine's streaming
-// metrics window. The zero value is unusable; use newRing.
-//
-// Concurrency contract: the Ring is internally locked, so Len/Last/Samples
-// may be called concurrently with the engine's Step (which appends) —
-// Engine.Samples and Engine.LastSample are the one read surface that does
-// NOT require the server mutex. Every other Engine method still does: the
-// lock here protects only the sample buffer, not the engine state the
-// samples are computed from.
-type Ring struct {
-	mu   sync.Mutex
-	buf  []Sample
-	next int
-	full bool
+// window is the engine's one store of recent observations: the round
+// samples GET /metrics serves and the flight-recorder entries GET
+// /debug/trace renders. Step appends under mu and every reader takes mu,
+// so Samples, LastSample and Trace may run concurrently with Step; every
+// other Engine method still needs the server mutex.
+type window struct {
+	mu sync.Mutex
+	// samples holds max(MetricsWindow, FlightWindow) samples, so the
+	// sample of every held round entry is held too: each sample appends
+	// one round entry. Samples returns at most metrics of them.
+	samples obs.Ring[Sample]
+	metrics int
+	// trace holds the flight recorder's entries. An event entry is the
+	// applied event with At set to the round it was applied in, Count and
+	// Weight folded as TraceRecord shows them, and no payload. A round
+	// entry has Kind 0, the queue depth in Count and its sample's ordinal
+	// in Weight.
+	trace obs.Ring[Event]
 }
 
-func newRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
+// newWindow returns a window for the given MetricsWindow and FlightWindow;
+// 0 means 1024 for either.
+func newWindow(metrics, flight int) window {
+	if metrics <= 0 {
+		metrics = 1024
 	}
-	return &Ring{buf: make([]Sample, capacity)}
-}
-
-// append adds a sample, evicting the oldest when full.
-func (r *Ring) append(s Sample) {
-	r.mu.Lock()
-	r.buf[r.next] = s
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
+	if flight <= 0 {
+		flight = 1024
 	}
-	r.mu.Unlock()
+	return window{samples: obs.NewRing[Sample](max(metrics, flight)), metrics: metrics, trace: obs.NewRing[Event](flight)}
 }
 
-// Len returns the number of stored samples.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lenLocked()
-}
-
-func (r *Ring) lenLocked() int {
-	if r.full {
-		return len(r.buf)
+// Samples returns up to max metrics samples in chronological order: at
+// most MetricsWindow, and all of those when max <= 0. Safe to call
+// concurrently with Step.
+func (e *Engine) Samples(max int) []Sample {
+	w := &e.win
+	if max <= 0 || max > w.metrics {
+		max = w.metrics
 	}
-	return r.next
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.samples.Tail(max)
 }
 
-// Last returns the most recent sample and whether one exists.
-func (r *Ring) Last() (Sample, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.lenLocked() == 0 {
+// LastSample returns the most recent metrics sample, if any. Safe to call
+// concurrently with Step.
+func (e *Engine) LastSample() (Sample, bool) {
+	w := &e.win
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.samples.Total() == 0 {
 		return Sample{}, false
 	}
-	i := r.next - 1
-	if i < 0 {
-		i = len(r.buf) - 1
-	}
-	return r.buf[i], true
-}
-
-// Samples returns up to max samples in chronological order (all when
-// max <= 0).
-func (r *Ring) Samples(max int) []Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.lenLocked()
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]Sample, 0, n)
-	start := r.next - n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for k := 0; k < n; k++ {
-		out = append(out, r.buf[(start+k)%len(r.buf)])
-	}
-	return out
+	return w.samples.At(w.samples.Total() - 1), true
 }

@@ -36,7 +36,7 @@ type instruments struct {
 	eventsRejected *obs.Counter
 	traceDropped   *obs.Gauge
 
-	// Point-in-time gauges, refreshed by publish.
+	// Point-in-time gauges, refreshed by PublishMetrics.
 	round      *obs.Gauge
 	nodes      *obs.Gauge
 	edges      *obs.Gauge
@@ -93,26 +93,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 	return in
 }
 
-// publish refreshes the point-in-time gauges from the discrepancy triple
-// the caller read from the tracker; everything else it reads is O(1).
-func (in *instruments) publish(e *Engine, maxAvg, maxMin, potential float64) {
-	in.round.SetInt(e.round)
-	in.nodes.SetInt(int64(e.topo.NumNodes()))
-	in.edges.SetInt(int64(e.topo.NumEdges()))
-	in.pending.SetInt(int64(e.queue.len()))
-	in.wmax.SetInt(e.wmax)
-	in.realTotal.SetInt(e.expectedReal)
-	in.dummies.SetInt(e.ledCreated)
-	in.fullAudits.SetInt(e.fullAudits)
-	in.maxAvg.Set(maxAvg)
-	in.maxMin.Set(maxMin)
-	in.bound.Set(e.Bound())
-	in.potential.Set(potential)
-	in.hotNodes.SetInt(int64(e.HotNodes()))
-	in.hotEdges.SetInt(int64(e.HotEdges()))
-	in.traceDropped.SetInt(e.flight.Dropped())
-}
-
 // TraceRecord is one flight-recorder entry: an applied event or a round
 // summary, in the order they happened. GET /debug/trace on lbserve dumps
 // the ring as JSONL — the seed of the deterministic replay log (ROADMAP
@@ -144,44 +124,35 @@ type TraceRecord struct {
 	HotEdges  int     `json:"hot_edges,omitempty"`
 }
 
-// recordEvent appends an applied event to the flight recorder. An
-// arrival records its task count and total weight, whether it came as a
-// run or as a task list.
+// recordEvent appends an applied event's entry to the flight recorder.
+// An arrival records its task count and total weight, whether it came as
+// a run or as a task list; the entry keeps no pointer to the payload.
+//
+//lb:hotpath
 func (e *Engine) recordEvent(ev *Event) {
-	rec := TraceRecord{Type: "event", Round: e.round, Kind: ev.Kind.String(), Node: ev.Node}
+	entry := Event{At: e.round, Kind: ev.Kind, Node: ev.Node}
 	x := ev.ext()
 	switch ev.Kind {
 	case KindTaskArrival:
-		rec.Count = ev.Count
+		entry.Count = ev.Count
 		if x.tasks != nil {
 			for _, q := range x.tasks {
-				rec.Weight += q.Weight
+				entry.Weight += q.Weight
 			}
 		} else {
-			rec.Weight = int64(ev.Count) * ev.Weight
+			entry.Weight = int64(ev.Count) * ev.Weight
 		}
 	case KindTaskCompletion:
-		rec.Count = ev.Count
+		entry.Count = ev.Count
 	case KindNodeJoin:
-		rec.Count = len(x.peers)
-		rec.Weight = x.speed
+		entry.Count = len(x.peers)
+		entry.Weight = x.speed
 	case KindEdgeChange:
-		rec.Count = len(x.add) + len(x.remove)
+		entry.Count = len(x.add) + len(x.remove)
 	}
-	e.traceSeq++
-	rec.Seq = e.traceSeq
-	e.flight.Append(rec)
-}
-
-// recordRound appends a round summary to the flight recorder.
-func (e *Engine) recordRound(s Sample) {
-	e.traceSeq++
-	e.flight.Append(TraceRecord{
-		Seq: e.traceSeq, Type: "round", Round: s.Round,
-		Nodes: s.Nodes, Edges: s.Edges, Events: s.Events,
-		Pending: e.queue.len(), MaxAvg: s.MaxAvg, StepNanos: s.StepNanos,
-		HotNodes: s.HotNodes, HotEdges: s.HotEdges,
-	})
+	e.win.mu.Lock()
+	e.win.trace.Append(entry)
+	e.win.mu.Unlock()
 }
 
 // Registry returns the engine's metrics registry (lbserve serves it at
@@ -191,17 +162,58 @@ func (e *Engine) recordRound(s Sample) {
 func (e *Engine) Registry() *obs.Registry { return e.instr.reg }
 
 // PublishMetrics refreshes the point-in-time gauges (topology size, queue
-// depth, the Theorem 3 discrepancy quantities) into the registry. It costs
-// O(pools changed since the last read), and like every other engine method
-// it must be serialized with Step — lbserve's /metrics/prom handler calls
-// it under the server mutex before writing the exposition.
+// depth, the Theorem 3 discrepancy quantities) into the registry; it is
+// their only writer, so every scrape calls it first. It costs O(pools
+// changed since the last read), and like every other engine method it
+// must be serialized with Step — lbserve's /metrics/prom handler calls it
+// under the server mutex before writing the exposition.
 func (e *Engine) PublishMetrics() {
+	in := e.instr
 	maxAvg, maxMin, potential := e.discrepancies()
-	e.instr.publish(e, maxAvg, maxMin, potential)
+	in.round.SetInt(e.round)
+	in.nodes.SetInt(int64(e.topo.NumNodes()))
+	in.edges.SetInt(int64(e.topo.NumEdges()))
+	in.pending.SetInt(int64(e.queue.len()))
+	in.wmax.SetInt(e.wmax)
+	in.realTotal.SetInt(e.expectedReal)
+	in.dummies.SetInt(e.ledCreated)
+	in.fullAudits.SetInt(e.fullAudits)
+	in.maxAvg.Set(maxAvg)
+	in.maxMin.Set(maxMin)
+	in.bound.Set(e.Bound())
+	in.potential.Set(potential)
+	in.hotNodes.SetInt(int64(e.HotNodes()))
+	in.hotEdges.SetInt(int64(e.HotEdges()))
+	e.win.mu.Lock()
+	in.traceDropped.SetInt(e.win.trace.Dropped())
+	e.win.mu.Unlock()
 }
 
-// Trace returns up to max flight-recorder records, oldest first (all when
-// max <= 0). Like Samples, the recorder is internally locked, but the
-// records themselves are only appended under the engine's serialization
-// domain.
-func (e *Engine) Trace(max int) []TraceRecord { return e.flight.Records(max) }
+// Trace returns up to max flight-recorder records, oldest first (all held
+// records when max <= 0). It renders them from the held entries and
+// samples under the lock Step appends under, so it may run concurrently
+// with Step, and a round record always shows its own sample. A record's
+// Seq is its entry's append ordinal plus one.
+func (e *Engine) Trace(max int) []TraceRecord {
+	w := &e.win
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	entries := w.trace.Tail(max)
+	seq := w.trace.Total() - int64(len(entries))
+	out := make([]TraceRecord, len(entries))
+	for k, en := range entries {
+		seq++
+		if en.Kind != 0 {
+			out[k] = TraceRecord{Seq: seq, Type: "event", Round: en.At, Kind: en.Kind.String(),
+				Node: en.Node, Count: en.Count, Weight: en.Weight}
+			continue
+		}
+		s := w.samples.At(en.Weight)
+		out[k] = TraceRecord{Seq: seq, Type: "round", Round: s.Round,
+			Nodes: s.Nodes, Edges: s.Edges, Events: s.Events,
+			Pending: en.Count, MaxAvg: s.MaxAvg, StepNanos: s.StepNanos,
+			HotNodes: s.HotNodes, HotEdges: s.HotEdges,
+		}
+	}
+	return out
+}

@@ -274,14 +274,16 @@ func TestTraceEndpoint(t *testing.T) {
 }
 
 // TestRingConcurrentReads pins the documented concurrency contract of the
-// metrics ring: Samples and LastSample may run concurrently with Step.
-// Under -race this test is the proof.
+// sample and trace window: Samples, LastSample and Trace may run
+// concurrently with Step, and a round record rendered meanwhile shows its
+// own sample. With one sample a round and no events, round record k is
+// the sample of round k. Under -race this test is the proof.
 func TestRingConcurrentReads(t *testing.T) {
 	g, err := graph.Torus(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := mustEngine(t, Config{Graph: g, Speeds: load.UniformSpeeds(g.N()), MetricsWindow: 16})
+	e := mustEngine(t, Config{Graph: g, Speeds: load.UniformSpeeds(g.N()), MetricsWindow: 16, FlightWindow: 8})
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -299,7 +301,12 @@ func TestRingConcurrentReads(t *testing.T) {
 					t.Error("negative round in sample")
 					return
 				}
-				_ = e.Trace(8)
+				for _, rec := range e.Trace(8) {
+					if rec.Type != "round" || rec.Round != rec.Seq {
+						t.Errorf("trace record %+v is not the round record of sample %d", rec, rec.Seq)
+						return
+					}
+				}
 			}
 		}()
 	}

@@ -7,13 +7,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 
-	"repro/internal/continuous"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/load"
-	"repro/internal/obs"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -47,7 +44,7 @@ type WALSink interface {
 // continuous load, pool contents in exact order, dummy counters, per-edge
 // α and flow accumulators, and the conservation ledger. Deliberately
 // excluded: the pending event queue (events are durable once applied and
-// committed, not once scheduled), the metrics ring, the flight recorder,
+// committed, not once scheduled), the samples and flight recorder,
 // and diagnostic counters (fullAudits) — none of them feed back into
 // balancing. Dead slot values the engine would never read again (the
 // stale speed of a departed node) are canonicalized to zero so the hash
@@ -329,52 +326,10 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine state: %w", err)
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) //lb:statefree worker-count default; restored engine is bit-identical for any worker count
-	}
-	window := cfg.MetricsWindow
-	if window <= 0 {
-		window = 1024
-	}
-	sampleEvery := cfg.SampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = 1
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	flightWindow := cfg.FlightWindow
-	if flightWindow <= 0 {
-		flightWindow = 1024
-	}
-	e := &Engine{
-		topo:           topo,
-		s:              make([]int64, nSlots),
-		x:              make([]float64, nSlots),
-		pools:          make([]dist.Pool, nSlots),
-		alpha:          make([]float64, eSlots),
-		fA:             make([]float64, eSlots),
-		fD:             make([]int64, eSlots),
-		net:            make([]float64, eSlots),
-		gap:            make([]float64, eSlots),
-		outbox:         make([]outMsg, eSlots),
-		wmax:           wmax,
-		round:          round,
-		expectedReal:   expectedReal,
-		retiredDummies: retiredDummies,
-		eventsApplied:  eventsApplied,
-		ledReal:        ledReal,
-		ledTotal:       ledTotal,
-		ledCreated:     ledCreated,
-		speedSum:       speedSum,
-		ring:           newRing(window),
-		sampleEvery:    sampleEvery,
-		deepAudit:      cfg.DeepAudit,
-		instr:          newInstruments(reg),
-		flight:         obs.NewFlightRecorder[TraceRecord](flightWindow),
-	}
+	e := newEngine(cfg, topo)
+	e.wmax, e.round = wmax, round
+	e.expectedReal, e.retiredDummies, e.eventsApplied = expectedReal, retiredDummies, eventsApplied
+	e.ledReal, e.ledTotal, e.ledCreated, e.speedSum = ledReal, ledTotal, ledCreated, speedSum
 
 	// Per-node section.
 	var checkSpeed int64
@@ -427,11 +382,10 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 	// α is a pure function of speeds and degrees; recompute and compare so
 	// a snapshot from a diverging build (or a tampered one) fails loudly.
 	for id := 0; id < eSlots; id++ {
-		u, v := topo.EdgeEndpoints(id)
-		if u < 0 {
+		if u, _ := topo.EdgeEndpoints(id); u < 0 {
 			continue
 		}
-		if want := continuous.EdgeAlpha(e.s[u], e.s[v], topo.Degree(u), topo.Degree(v)); e.alpha[id] != want {
+		if want := e.edgeAlpha(id); e.alpha[id] != want {
 			return nil, fmt.Errorf("engine state: edge %d alpha %v != derived %v", id, e.alpha[id], want)
 		}
 	}
@@ -442,20 +396,7 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine state: conservation audit failed: %w", err)
 	}
 	e.fullAudits = 0 // the restore-time audit is not part of the run's history
-	e.pool = newWorkerPool(workers)
-	// Gate state is deliberately absent from the encoding: it is
-	// reconstructed, never trusted from disk. Waking the whole graph is the
-	// conservative reconstruction — over-waking is semantics-preserving, so
-	// the restored engine is bit-identical to the one that encoded.
-	e.initGate()
-
-	if cfg.WAL != nil {
-		if err := e.AttachWAL(cfg.WAL, cfg.SnapshotEvery); err != nil {
-			e.Close()
-			return nil, err
-		}
-	}
-	return e, nil
+	return e.start(cfg)
 }
 
 // Restore rebuilds an engine from a log recovery: the snapshot state plus
