@@ -273,6 +273,43 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestRingWindow exercises the sample window's eviction: with
+// MetricsWindow 4 and a larger flight recorder, Samples serves at most the
+// newest four samples, oldest first, however many the window holds.
+func TestRingWindow(t *testing.T) {
+	g, err := graph.Torus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mustEngine(t, Config{Graph: g, Speeds: load.UniformSpeeds(g.N()), MetricsWindow: 4, FlightWindow: 8})
+	if _, ok := e.LastSample(); ok {
+		t.Fatal("new engine has a last sample")
+	}
+	for i := 0; i < 6; i++ {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := e.Samples(0)
+	if len(got) != 4 {
+		t.Fatalf("window serves %d samples, want 4", len(got))
+	}
+	for k, want := range []int64{3, 4, 5, 6} {
+		if got[k].Round != want {
+			t.Fatalf("sample %d round %d, want %d", k, got[k].Round, want)
+		}
+	}
+	if last, _ := e.LastSample(); last.Round != 6 {
+		t.Fatalf("last round %d, want 6", last.Round)
+	}
+	if got := e.Samples(2); len(got) != 2 || got[0].Round != 5 || got[1].Round != 6 {
+		t.Fatalf("Samples(2) = %+v", got)
+	}
+	if got := e.Samples(9); len(got) != 4 || got[0].Round != 3 {
+		t.Fatalf("Samples(9) = %+v, want the four newest", got)
+	}
+}
+
 // TestRingConcurrentReads pins the documented concurrency contract of the
 // sample and trace window: Samples, LastSample and Trace may run
 // concurrently with Step, and a round record rendered meanwhile shows its

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestRingFillAndEvict fills rings of capacity 4 past their capacity and
-// checks what they hold, their ordinals and their eviction count.
-func TestRingFillAndEvict(t *testing.T) {
+// TestFlightRecorderFillAndEvict fills a ring of capacity 4, the buffer
+// behind the engine's flight recorder and sample window, past its
+// capacity and checks what it holds and its eviction count.
+func TestFlightRecorderFillAndEvict(t *testing.T) {
 	r := NewRing[int](4)
 	if r.Len() != 0 || r.Total() != 0 || len(r.Tail(0)) != 0 {
 		t.Fatalf("empty ring holds %v", r.Tail(0))
@@ -38,9 +39,21 @@ func TestRingFillAndEvict(t *testing.T) {
 	if got := r.Dropped(); got != 2 {
 		t.Fatalf("dropped = %d, want 2", got)
 	}
-	for i := r.Dropped(); i < r.Total(); i++ {
-		if got := r.At(i); got != int(i)+1 {
-			t.Fatalf("At(%d) = %d, want %d", i, got, i+1)
+}
+
+// TestRingOrdinals checks that every held value is addressable by its
+// append ordinal, before and after eviction.
+func TestRingOrdinals(t *testing.T) {
+	r := NewRing[int](4)
+	for i := 1; i <= 6; i++ {
+		r.Append(i)
+		if got := r.Total(); got != int64(i) {
+			t.Fatalf("Total = %d after %d appends", got, i)
+		}
+		for j := r.Dropped(); j < r.Total(); j++ {
+			if got := r.At(j); got != int(j)+1 {
+				t.Fatalf("after %d appends At(%d) = %d, want %d", i, j, got, j+1)
+			}
 		}
 	}
 	if last := r.At(r.Total() - 1); last != 6 {
