@@ -58,6 +58,16 @@
 // steady stream of arrivals and completions allocates almost nothing per
 // line.
 //
+// Events and state cross the disk on one path. Config.WAL is the only way
+// to attach a write-ahead log. A Kind's value is its code in wire.Kinds,
+// which is also the kind byte of a log record, and one wire.Reader decodes
+// both the log's records and EncodeState's bytes. Step and ReplayStep run
+// the same per-event body (apply, count, record, log, deep audit) and the
+// same batch tail (ledger check, round, WAL commit, sample, stage
+// timings); a replayed step only takes its events from the log instead of
+// the queue and checks the log's round marker after the round, so
+// replayed rounds are sampled and traced like live ones.
+//
 // Each round sample (discrepancy, potential Φ, dummy-token counts and
 // per-round latency) is stored once, in a window that also holds the
 // flight recorder: 48-byte event headers and round entries that name

@@ -13,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/load"
 	"repro/internal/obs"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -53,9 +54,13 @@ type Config struct {
 	// entry; a round summary takes one entry and names its sample, which
 	// the engine keeps for as long as the entry (see MetricsWindow).
 	FlightWindow int
-	// WAL, when non-nil, is the durability sink the engine logs through:
-	// every applied event and every round boundary is appended before Step
-	// returns (see AttachWAL). A log failure poisons the engine with ErrWAL.
+	// WAL, when non-nil, is the durability sink the engine logs through,
+	// and the only way to attach one: every applied event and every round
+	// boundary is appended before Step returns. New and NewFromState write
+	// a baseline snapshot through it before they return; Restore attaches
+	// it only once the replay reached the log's tip, so it may be the
+	// writer wal.Open returned for the directory being recovered. A log
+	// failure poisons the engine with ErrWAL.
 	WAL WALSink
 	// SnapshotEvery writes a full-state snapshot to the WAL every that many
 	// rounds; 0 means 1024. Ignored without a WAL.
@@ -195,7 +200,7 @@ type Engine struct {
 	// construction path reconstructs it conservatively (see initGate).
 	gate gate
 
-	// wal, when set (AttachWAL/Config.WAL), receives every applied event
+	// wal, when set (Config.WAL), receives every applied event
 	// and round boundary before Step returns; walSnapEvery is the snapshot
 	// cadence in rounds. A sink failure poisons the engine with ErrWAL.
 	wal          WALSink
@@ -317,7 +322,7 @@ func (e *Engine) start(cfg Config) (*Engine, error) {
 	// conservative reconstruction, and over-waking preserves semantics.
 	e.initGate()
 	if cfg.WAL != nil {
-		if err := e.AttachWAL(cfg.WAL, cfg.SnapshotEvery); err != nil {
+		if err := e.attachWAL(cfg.WAL, cfg.SnapshotEvery); err != nil {
 			e.Close()
 			return nil, err
 		}
@@ -394,9 +399,7 @@ func (e *Engine) Schedule(ev Event) error {
 	if e.closed {
 		return ErrClosed
 	}
-	switch ev.Kind {
-	case KindTaskArrival, KindTaskCompletion, KindNodeJoin, KindNodeLeave, KindEdgeChange:
-	default:
+	if !ev.Kind.known() {
 		return unknownKindError(ev.Kind)
 	}
 	if ev.At < e.round {
@@ -446,95 +449,104 @@ func (e *Engine) Step() error {
 	if e.poisoned != nil {
 		return e.poisoned
 	}
-	start := nowMetric()
-	applied := 0
-	var stepErr error
+	start, before := nowMetric(), e.eventsApplied
+	var err error
 	// Each due event is applied, recorded and logged in place in its queue
 	// slot and popped after that; a rejected event is popped too. The
 	// pointer stays valid because nothing in between pushes to the queue:
 	// applying an event never schedules one.
-	for {
+	for err == nil {
 		ev := e.queue.peekDue(e.round)
 		if ev == nil {
 			break
 		}
-		kind := ev.Kind
-		if err := e.applyEvent(ev); err != nil {
-			e.queue.pop()
-			e.instr.eventsRejected.Inc()
-			stepErr = fmt.Errorf("engine: round %d %s event: %w", e.round, kind, err)
-			break
-		}
-		e.eventsApplied++
-		applied++
-		e.instr.eventsApplied[kind].Inc()
-		e.recordEvent(ev)
-		var err error
-		if e.wal != nil {
-			// Log the applied event before anything else can fail: the WAL
-			// must hold every event the state absorbed, in apply order.
-			// Rejected events are never logged — replay applies the log
-			// unconditionally.
-			err = e.logEvent(ev)
-		}
+		err = e.stepEvent(ev)
 		e.queue.pop()
-		if err != nil {
-			stepErr = err
-			break
-		}
-		if e.deepAudit {
-			if err := e.AuditFull(); err != nil {
-				stepErr = fmt.Errorf("engine: round %d after %s event: %w: %w", e.round, kind, ErrInconsistent, err)
-				break
-			}
+	}
+	return e.endStep(start, before, err, nil)
+}
+
+// stepEvent applies one event of a step's batch in place and, once it is
+// applied, counts it, records it in the flight recorder, logs it to the
+// WAL and, with DeepAudit, recounts the engine. Step and ReplayStep share
+// it.
+func (e *Engine) stepEvent(ev *Event) error {
+	kind := ev.Kind
+	if err := e.applyEvent(ev); err != nil {
+		e.instr.eventsRejected.Inc()
+		return fmt.Errorf("engine: round %d %s event: %w", e.round, kind, err)
+	}
+	e.eventsApplied++
+	e.instr.eventsApplied[kind].Inc()
+	e.recordEvent(ev)
+	if e.wal != nil {
+		// Log the applied event before anything else can fail: the WAL
+		// must hold every event the state absorbed, in apply order.
+		// Rejected events are never logged — replay applies the log
+		// unconditionally.
+		if err := e.logEvent(ev); err != nil {
+			return err
 		}
 	}
+	if e.deepAudit {
+		if err := e.AuditFull(); err != nil {
+			return fmt.Errorf("engine: round %d after %s event: %w: %w", e.round, kind, ErrInconsistent, err)
+		}
+	}
+	return nil
+}
+
+// endStep finishes a step whose batch was applied from before, the event
+// count when the step started, and stopped early by err if that is not
+// nil: it checks the ledger, runs the round, checks mark (the round marker
+// a replayed step must reproduce; nil for a live step), commits the round
+// to the WAL, takes the sample and records the stage timings. Step and
+// ReplayStep share it.
+func (e *Engine) endStep(start time.Time, before int64, err error, mark *wal.RoundMark) error {
+	applied := e.eventsApplied - before
 	if applied > 0 {
 		e.instr.stage["event_apply"].ObserveDuration(sinceMetric(start))
 	}
-	if applied > 0 && !errors.Is(stepErr, ErrInconsistent) {
+	if applied > 0 && !errors.Is(err, ErrInconsistent) {
 		// Validate even when a rejection stopped the batch early: the
 		// applied prefix stays applied, so it must be ledger-checked now —
 		// deferring to the next batch would let a violation hide behind a
 		// "fully usable" rejection error and then be misattributed.
 		tLedger := nowMetric()
-		if err := e.checkLedger(); err != nil {
-			ledErr := fmt.Errorf("engine: round %d after %d-event batch: %w: %w", e.round, applied, ErrInconsistent, err)
-			if stepErr != nil {
-				ledErr = fmt.Errorf("%w (batch stopped early by: %v)", ledErr, stepErr)
+		if lerr := e.checkLedger(); lerr != nil {
+			ledErr := fmt.Errorf("engine: round %d after %d-event batch: %w: %w", e.round, applied, ErrInconsistent, lerr)
+			if err != nil {
+				ledErr = fmt.Errorf("%w (batch stopped early by: %v)", ledErr, err)
 			}
-			stepErr = ledErr
+			err = ledErr
 		}
 		e.instr.stage["ledger"].ObserveDuration(sinceMetric(tLedger))
 	}
-	if stepErr != nil {
-		if errors.Is(stepErr, ErrInconsistent) || errors.Is(stepErr, ErrWAL) {
-			e.poisoned = stepErr
+	if err == nil {
+		e.roundFn()
+		if mark != nil {
+			err = e.checkMark(mark)
 		}
-		e.sample(sinceMetric(start))
-		e.instr.stepSeconds.ObserveDuration(sinceMetric(start))
-		return stepErr
 	}
-	e.roundFn()
-	if e.wal != nil {
+	if err == nil && e.wal != nil {
 		// The round marker commits this step's event batch (and any prefix
 		// a rejection left uncommitted in an earlier step); it must reach
 		// the log before Step returns so a crash never loses a completed
 		// round beyond the fsync policy's window.
-		if err := e.walCommit(); err != nil {
-			e.poisoned = err
-			e.sample(sinceMetric(start))
-			e.instr.stepSeconds.ObserveDuration(sinceMetric(start))
-			return err
-		}
+		err = e.walCommit()
 	}
-	if e.round%int64(e.sampleEvery) == 0 {
+	if err != nil {
+		if errors.Is(err, ErrInconsistent) || errors.Is(err, ErrWAL) {
+			e.poisoned = err
+		}
+		e.sample(sinceMetric(start))
+	} else if e.round%int64(e.sampleEvery) == 0 {
 		tSample := nowMetric()
 		e.sample(sinceMetric(start))
 		e.instr.stage["sample"].ObserveDuration(sinceMetric(tSample))
 	}
 	e.instr.stepSeconds.ObserveDuration(sinceMetric(start))
-	return nil
+	return err
 }
 
 // Run executes the given number of rounds.

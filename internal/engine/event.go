@@ -4,46 +4,47 @@ import (
 	"fmt"
 
 	"repro/internal/load"
+	"repro/internal/wire"
 )
 
-// Kind enumerates the event types the runtime consumes.
+// Kind enumerates the event types the runtime consumes. A kind's value is
+// its code in wire.Kinds, the kind table, which names it.
 type Kind int
 
 const (
 	// KindTaskArrival injects tasks at a node (Definition 3 additivity: new
 	// load simply starts balancing on top of the moving load).
-	KindTaskArrival Kind = iota + 1
+	KindTaskArrival = Kind(wire.KindArrival)
 	// KindTaskCompletion removes up to Count finished (non-dummy) tasks
 	// from a node, newest first.
-	KindTaskCompletion
+	KindTaskCompletion = Kind(wire.KindCompletion)
 	// KindNodeJoin activates a new node with the given Speed and attaches
 	// it to the Peers.
-	KindNodeJoin
+	KindNodeJoin = Kind(wire.KindJoin)
 	// KindNodeLeave deactivates a node; its tasks are redistributed
 	// round-robin to its neighbours (load conservation) and its continuous
 	// mass follows.
-	KindNodeLeave
+	KindNodeLeave = Kind(wire.KindLeave)
 	// KindEdgeChange removes the RemoveEdges and then adds the AddEdges.
-	KindEdgeChange
+	KindEdgeChange = Kind(wire.KindEdgeChange)
 )
 
-// String implements fmt.Stringer.
+// known reports whether the kind table names k.
+func (k Kind) known() bool { return k > 0 && int(k) < len(wire.Kinds) }
+
+// String implements fmt.Stringer: a known kind's wire name.
 func (k Kind) String() string {
-	switch k {
-	case KindTaskArrival:
-		return "arrival"
-	case KindTaskCompletion:
-		return "completion"
-	case KindNodeJoin:
-		return "join"
-	case KindNodeLeave:
-		return "leave"
-	case KindEdgeChange:
-		return "edge-change"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k.known() {
+		return wire.Kinds[k]
 	}
+	return unknownKindName(k)
 }
+
+// unknownKindName is String's fallback, built out of line so that callers
+// on the hot path do not box k.
+//
+//go:noinline
+func unknownKindName(k Kind) string { return fmt.Sprintf("Kind(%d)", int(k)) }
 
 // Event is one unit of the runtime's input stream. At is the round index
 // at which the event fires: all events with At <= Round() are applied, in
@@ -147,29 +148,16 @@ func EdgeChange(at int64, add, remove [][2]int) Event {
 	return Event{At: at, Kind: KindEdgeChange, payload: &eventPayload{add: add, remove: remove}}
 }
 
-// kindRank orders events that fire in the same round: topology growth
-// first (so same-round arrivals can target just-joined nodes), then work
-// stream changes, then departures.
-func kindRank(k Kind) int {
-	switch k {
-	case KindNodeJoin:
-		return 0
-	case KindEdgeChange:
-		return 1
-	case KindTaskArrival:
-		return 2
-	case KindTaskCompletion:
-		return 3
-	case KindNodeLeave:
-		return 4
-	default:
-		return 5
-	}
+// kindRank orders events that fire in the same round, by kind: topology
+// growth first (so same-round arrivals can target just-joined nodes), then
+// work stream changes, then departures.
+var kindRank = [len(wire.Kinds)]uint8{
+	KindNodeJoin: 0, KindEdgeChange: 1, KindTaskArrival: 2, KindTaskCompletion: 3, KindNodeLeave: 4,
 }
 
-// numRanks is the number of kindRank values a scheduled event can take;
-// Schedule rejects the unknown kinds that would rank 5.
-const numRanks = 5
+// numRanks is the number of kindRank values: one per known kind, the only
+// kinds Schedule admits.
+const numRanks = len(wire.Kinds) - 1
 
 // eventQueue is a calendar queue over (At, kindRank, seq): one bucket per
 // round that has pending events, each holding one FIFO per kind rank.
@@ -213,7 +201,7 @@ func (q *eventQueue) len() int { return q.n }
 //lb:hotpath
 func (q *eventQueue) push(ev Event) {
 	b := q.bucket(ev.At)
-	f := &b.fifos[kindRank(ev.Kind)]
+	f := &b.fifos[kindRank[ev.Kind]]
 	f.evs = append(f.evs, ev)
 	b.n++
 	q.n++

@@ -36,7 +36,7 @@ func (q heapQueue) Less(i, j int) bool {
 	if a.ev.At != b.ev.At {
 		return a.ev.At < b.ev.At
 	}
-	if ra, rb := kindRank(a.ev.Kind), kindRank(b.ev.Kind); ra != rb {
+	if ra, rb := kindRank[a.ev.Kind], kindRank[b.ev.Kind]; ra != rb {
 		return ra < rb
 	}
 	return a.seq < b.seq

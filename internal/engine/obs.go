@@ -2,6 +2,7 @@ package engine
 
 import (
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Metric and label names exported for scrapers and tests; every series
@@ -32,7 +33,7 @@ type instruments struct {
 	stage       map[string]*obs.Histogram
 
 	roundsTotal    *obs.Counter
-	eventsApplied  [6]*obs.Counter // indexed by Kind (1..5)
+	eventsApplied  [len(wire.Kinds)]*obs.Counter // indexed by Kind
 	eventsRejected *obs.Counter
 	traceDropped   *obs.Gauge
 

@@ -360,7 +360,8 @@ func TestRingConcurrentReads(t *testing.T) {
 // sample cadence and windows and returns what GET /metrics and GET
 // /debug/trace serve afterwards, with step_nanos masked, followed by the
 // engine_trace_dropped_records gauge. Rounds 0-3 and 7-29 run live;
-// rounds 4-6 are replayed through ReplayStep from a run that logged them.
+// rounds 4-6 are replayed through ReplayStep from a run that logged them,
+// and sampled like live rounds.
 // The stream covers a run arrival, a task-list arrival, a completion, a
 // join with peers, an edge change, a leave and a rejected event, which
 // takes the error-path sample.
@@ -413,7 +414,7 @@ func observabilityTranscript(t *testing.T, windows Config) []byte {
 	} {
 		schedule(t, ev, e)
 	}
-	samples, rejected := 2, 0 // rounds 2 and 4
+	samples, rejected := 3, 0 // rounds 2 and 4, and replayed round 6
 	for e.Round() < 30 {
 		err := e.Step()
 		if err != nil {

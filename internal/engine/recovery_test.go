@@ -350,3 +350,52 @@ func (s *failingSink) WriteSnapshot(int64, []byte) error {
 	}
 	return nil
 }
+
+// TestLargeStateRecovers: an engine whose state encodes to more than the
+// 16 MiB a WAL record may hold (a 500x500 torus, 8 tokens per node) writes
+// its baseline snapshot when the WAL attaches, and a reopened log restores
+// it to the same state.
+func TestLargeStateRecovers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 250k-node engine")
+	}
+	g, err := graph.Torus(500, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int64, g.N())
+	for i := range counts {
+		counts[i] = 8
+	}
+	tasks, err := load.NewTokens(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := wal.Create(wal.Options{Dir: dir, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mustEngine(t, Config{Graph: g, Speeds: load.UniformSpeeds(g.N()), Tasks: tasks, WAL: w})
+	if size := len(e.EncodeState()); size <= 16<<20 {
+		t.Fatalf("state is %d bytes, want more than 16 MiB", size)
+	}
+	want := e.StateHash()
+	e.Close()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, rec, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	r, err := Restore(rec, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.StateHash() != want {
+		t.Fatal("restored state hash differs from the engine that wrote the snapshot")
+	}
+}

@@ -185,70 +185,6 @@ func (e *Engine) StateHash() [sha256.Size]byte {
 	return sha256.Sum256(e.EncodeState())
 }
 
-// stateReader decodes the canonical encoding with saturating error state.
-type stateReader struct {
-	b   []byte
-	err error
-}
-
-func (r *stateReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("engine state: "+format, args...)
-	}
-}
-
-func (r *stateReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail("truncated varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *stateReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("truncated uvarint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// count bounds a collection length by the remaining bytes (each element
-// costs at least one byte) so corrupt input cannot drive huge allocations.
-func (r *stateReader) count(v uint64) int {
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(len(r.b)) {
-		r.fail("collection length %d exceeds remaining %d bytes", v, len(r.b))
-		return 0
-	}
-	return int(v)
-}
-
-func (r *stateReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail("truncated float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
 // NewFromState rebuilds an engine from a canonical state encoding (a WAL
 // snapshot payload). cfg supplies only the runtime knobs — Workers,
 // MetricsWindow, SampleEvery, DeepAudit, Registry, FlightWindow, WAL,
@@ -262,60 +198,39 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 	if state[len(stateMagic)] != stateVer {
 		return nil, fmt.Errorf("engine state: unsupported version %d", state[len(stateMagic)])
 	}
-	r := &stateReader{b: state[len(stateMagic)+1:]}
+	r := wire.NewReader(state[len(stateMagic)+1:])
 
 	// Graph section.
-	nSlots := r.count(r.uvarint())
+	nSlots := r.Count()
 	gs := graph.DynamicState{
 		Active: make([]bool, nSlots),
 		Adj:    make([][]int, nSlots),
 	}
-	for i := 0; i < nSlots && r.err == nil; i++ {
-		if len(r.b) == 0 {
-			r.fail("truncated active flags")
-			break
-		}
-		gs.Active[i] = r.b[0] != 0
-		r.b = r.b[1:]
+	for i := range gs.Active {
+		gs.Active[i] = r.Byte() != 0
 	}
-	for i := 0; i < nSlots && r.err == nil; i++ {
-		if n := r.count(r.uvarint()); n > 0 {
-			gs.Adj[i] = make([]int, n)
-			for k := range gs.Adj[i] {
-				gs.Adj[i][k] = int(r.varint())
-			}
-		}
+	for i := range gs.Adj {
+		gs.Adj[i] = wire.Varints[int](&r)
 	}
-	eSlots := r.count(r.uvarint())
-	gs.Ends = make([][2]int, eSlots)
-	for id := 0; id < eSlots && r.err == nil; id++ {
-		gs.Ends[id] = [2]int{int(r.varint() - 1), int(r.varint() - 1)}
+	gs.Ends = make([][2]int, r.Count())
+	for id := range gs.Ends {
+		gs.Ends[id] = [2]int{int(r.Varint() - 1), int(r.Varint() - 1)}
 	}
-	if n := r.count(r.uvarint()); n > 0 {
-		gs.FreeN = make([]int, n)
-		for k := range gs.FreeN {
-			gs.FreeN[k] = int(r.varint())
-		}
-	}
-	if n := r.count(r.uvarint()); n > 0 {
-		gs.FreeE = make([]int, n)
-		for k := range gs.FreeE {
-			gs.FreeE[k] = int(r.varint())
-		}
-	}
+	gs.FreeN = wire.Varints[int](&r)
+	gs.FreeE = wire.Varints[int](&r)
 
 	// Scalar section.
-	wmax := r.varint()
-	round := r.varint()
-	expectedReal := r.varint()
-	retiredDummies := r.varint()
-	eventsApplied := r.varint()
-	ledReal := r.varint()
-	ledTotal := r.varint()
-	ledCreated := r.varint()
-	speedSum := r.varint()
-	if r.err != nil {
-		return nil, r.err
+	wmax := r.Varint()
+	round := r.Varint()
+	expectedReal := r.Varint()
+	retiredDummies := r.Varint()
+	eventsApplied := r.Varint()
+	ledReal := r.Varint()
+	ledTotal := r.Varint()
+	ledCreated := r.Varint()
+	speedSum := r.Varint()
+	if r.Err() != nil {
+		return nil, fmt.Errorf("engine state: %w", r.Err())
 	}
 	if round < 0 || eventsApplied < 0 {
 		return nil, fmt.Errorf("engine state: negative round %d or event count %d", round, eventsApplied)
@@ -334,54 +249,49 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 	// Per-node section.
 	var checkSpeed int64
 	var tasks []load.Task // one decode buffer, reused across nodes
-	for i := 0; i < nSlots && r.err == nil; i++ {
+	for i := 0; i < nSlots && r.Err() == nil; i++ {
 		if !gs.Active[i] {
 			continue
 		}
-		e.s[i] = r.varint()
-		e.x[i] = r.f64()
-		dummies := r.varint()
-		nTasks := r.count(r.uvarint())
-		tasks = append(tasks[:0], make([]load.Task, nTasks)...)
+		e.s[i] = r.Varint()
+		e.x[i] = r.Float64()
+		dummies := r.Varint()
+		tasks = append(tasks[:0], make([]load.Task, r.Count())...)
 		for k := range tasks {
-			u := r.uvarint()
+			u := r.Uvarint()
 			tasks[k] = load.Task{Weight: int64(u >> 1), Dummy: u&1 == 1}
-			if tasks[k].Weight < 1 && r.err == nil {
-				r.fail("node %d task %d has weight %d", i, k, tasks[k].Weight)
+			if tasks[k].Weight < 1 && r.Err() == nil {
+				return nil, fmt.Errorf("engine state: node %d task %d has weight %d", i, k, tasks[k].Weight)
 			}
 		}
-		if r.err != nil {
+		if r.Err() != nil {
 			break
 		}
 		if e.s[i] < 1 {
-			r.fail("node %d has speed %d", i, e.s[i])
-			break
+			return nil, fmt.Errorf("engine state: node %d has speed %d", i, e.s[i])
 		}
 		e.pools[i] = dist.RestorePool(tasks, dummies)
 		checkSpeed += e.s[i]
 	}
 
 	// Per-edge section.
-	for id := 0; id < eSlots && r.err == nil; id++ {
+	for id := 0; id < len(gs.Ends) && r.Err() == nil; id++ {
 		if gs.Ends[id][0] < 0 {
 			continue
 		}
-		e.alpha[id] = r.f64()
-		e.fA[id] = r.f64()
-		e.fD[id] = r.varint()
+		e.alpha[id] = r.Float64()
+		e.fA[id] = r.Float64()
+		e.fD[id] = r.Varint()
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("engine state: %d trailing bytes", len(r.b))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("engine state: %w", err)
 	}
 	if checkSpeed != speedSum {
 		return nil, fmt.Errorf("engine state: speeds sum to %d but ledger says %d", checkSpeed, speedSum)
 	}
 	// α is a pure function of speeds and degrees; recompute and compare so
 	// a snapshot from a diverging build (or a tampered one) fails loudly.
-	for id := 0; id < eSlots; id++ {
+	for id := range gs.Ends {
 		if u, _ := topo.EdgeEndpoints(id); u < 0 {
 			continue
 		}
@@ -402,9 +312,9 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 // Restore rebuilds an engine from a log recovery: the snapshot state plus
 // a replay of every committed batch after it. The returned engine is
 // byte-identical (EncodeState) to the engine that wrote the log, as of its
-// last committed round. cfg is passed through to NewFromState; attach a
-// WAL via cfg.WAL only after recovery succeeded if the same directory is
-// being reopened for appending.
+// last committed round, and its replayed rounds are sampled and traced like
+// live ones. cfg is passed through to NewFromState, except that cfg.WAL is
+// attached only after the replay (see Config.WAL).
 func Restore(rec *wal.Recovery, cfg Config) (*Engine, error) {
 	if rec == nil || !rec.HasState() {
 		return nil, errors.New("engine: recovery holds no snapshot")
@@ -423,7 +333,7 @@ func Restore(rec *wal.Recovery, cfg Config) (*Engine, error) {
 		}
 	}
 	if walSink != nil {
-		if err := e.AttachWAL(walSink, snapEvery); err != nil {
+		if err := e.attachWAL(walSink, snapEvery); err != nil {
 			e.Close()
 			return nil, err
 		}
@@ -448,10 +358,11 @@ func wireToEvent(w *wire.Event) (Event, error) {
 // ReplayStep re-executes one committed step from the log: it applies the
 // batch's events directly in their logged order — bypassing the event
 // queue, whose (At, kind, seq) ordering was already resolved when the
-// events were applied the first time — then runs one balancing round and
-// checks the engine against the batch's round marker. A mismatch means
-// the replay diverged from the run that wrote the log; the failure is
-// latched like any other inconsistency.
+// events were applied the first time — then finishes the step as Step
+// does, with one more check: after the round the engine must match the
+// batch's round marker. A mismatch means the replay diverged from the run
+// that wrote the log; the failure is latched like any other inconsistency.
+// A replayed round is sampled and traced like a live one.
 func (e *Engine) ReplayStep(events []wire.Event, mark wal.RoundMark) error {
 	if e.closed {
 		return ErrClosed
@@ -459,47 +370,39 @@ func (e *Engine) ReplayStep(events []wire.Event, mark wal.RoundMark) error {
 	if e.poisoned != nil {
 		return e.poisoned
 	}
-	for k := range events {
-		ev, err := wireToEvent(&events[k])
-		if err != nil {
-			return fmt.Errorf("engine: replay round %d event %d: %w", e.round, k, err)
+	start, before := nowMetric(), e.eventsApplied
+	var err error
+	for k := 0; k < len(events) && err == nil; k++ {
+		ev, werr := wireToEvent(&events[k])
+		if werr != nil {
+			err = fmt.Errorf("engine: replay round %d event %d: %w", e.round, k, werr)
+			break
 		}
-		if err := e.applyEvent(&ev); err != nil {
-			return fmt.Errorf("engine: replay round %d %s event: %w", e.round, ev.Kind, err)
-		}
-		e.eventsApplied++
-		e.instr.eventsApplied[ev.Kind].Inc()
-		e.recordEvent(&ev)
+		err = e.stepEvent(&ev)
 	}
-	if len(events) > 0 {
-		if err := e.checkLedger(); err != nil {
-			err = fmt.Errorf("engine: replay round %d after %d-event batch: %w: %w", e.round, len(events), ErrInconsistent, err)
-			e.poisoned = err
-			return err
-		}
-	}
-	e.roundFn()
+	return e.endStep(start, before, err, &mark)
+}
+
+// checkMark compares the engine after a replayed round with the round
+// marker the log committed that round with.
+func (e *Engine) checkMark(mark *wal.RoundMark) error {
 	if e.round != mark.Round || e.expectedReal != mark.Real || e.ledTotal != mark.Total ||
 		e.ledCreated != mark.Created || e.wmax != mark.Wmax {
-		err := fmt.Errorf("engine: %w: replay diverged at round marker %d: engine round=%d real=%d total=%d created=%d wmax=%d, log real=%d total=%d created=%d wmax=%d",
+		return fmt.Errorf("engine: %w: replay diverged at round marker %d: engine round=%d real=%d total=%d created=%d wmax=%d, log real=%d total=%d created=%d wmax=%d",
 			ErrInconsistent, mark.Round, e.round, e.expectedReal, e.ledTotal, e.ledCreated, e.wmax,
 			mark.Real, mark.Total, mark.Created, mark.Wmax)
-		e.poisoned = err
-		return err
 	}
 	return nil
 }
 
-// AttachWAL hooks a durability sink into the engine: from now on every
-// applied event and round boundary is logged before Step returns, and a
-// full-state snapshot is written every snapshotEvery rounds (0 means
-// 1024). Attaching writes a baseline snapshot immediately so the log is
-// always replayable from its newest snapshot — on a fresh log this is the
-// genesis state, on a reopened one the post-recovery state.
-func (e *Engine) AttachWAL(sink WALSink, snapshotEvery int) error {
-	if e.closed {
-		return ErrClosed
-	}
+// attachWAL hooks a durability sink into the engine (Config.WAL; Restore
+// after the replay): from now on every applied event and round boundary is
+// logged before Step returns, and a full-state snapshot is written every
+// snapshotEvery rounds (0 means 1024). Attaching writes a baseline
+// snapshot immediately so the log is always replayable from its newest
+// snapshot — on a fresh log this is the genesis state, on a reopened one
+// the post-recovery state.
+func (e *Engine) attachWAL(sink WALSink, snapshotEvery int) error {
 	if snapshotEvery < 1 {
 		snapshotEvery = 1024
 	}
@@ -569,17 +472,6 @@ func (e *Engine) walCommit() error {
 	return nil
 }
 
-// ToWire converts a runtime event to its wire form — the lossless record
-// the WAL persists. Arrivals with uniform task weight compress to
-// Tokens+Weight; heterogeneous batches carry the explicit Weights list.
-func ToWire(ev Event) (wire.Event, error) {
-	var w wire.Event
-	if err := toWireInto(&ev, &w); err != nil {
-		return wire.Event{}, err
-	}
-	return w, nil
-}
-
 // errDummyArrival is hoisted so toWireInto's validation path allocates
 // nothing when it fires inside the per-event hot path.
 var errDummyArrival = errors.New("engine: dummy task in arrival")
@@ -628,7 +520,7 @@ func toWireInto(ev *Event, w *wire.Event) error {
 		w.Add = x.add
 		w.Remove = x.remove
 	default:
-		return fmt.Errorf("engine: unencodable event kind %v", ev.Kind)
+		return unknownKindError(ev.Kind)
 	}
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"unicode/utf8"
+
+	"repro/internal/wire"
 )
 
 // ParseEventLine decodes one NDJSON line into a runtime event. It is a
@@ -95,12 +97,10 @@ func wireField(key []byte) int {
 	return fieldUnknown
 }
 
-var wireKinds = [...]string{"arrival", "completion", "join", "leave", "edge-change"}
-
 // wireKind returns the kind string of a decoded "kind" value, without
-// allocating for the five known kinds.
+// allocating for the names in the kind table.
 func wireKind(s []byte) string {
-	for _, k := range wireKinds {
+	for _, k := range wire.Kinds[1:] {
 		if string(s) == k {
 			return k
 		}

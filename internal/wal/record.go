@@ -113,49 +113,6 @@ func DecodeRecord(b []byte) (typ byte, payload []byte, size int, err error) {
 // segment this is a torn write, anywhere else it is corruption.
 var errShort = errors.New("wal: short record")
 
-// Event kind bytes of the binary event encoding, mapping wire.Event.Kind.
-const (
-	kindArrival    byte = 1
-	kindCompletion byte = 2
-	kindJoin       byte = 3
-	kindLeave      byte = 4
-	kindEdgeChange byte = 5
-)
-
-func kindByte(kind string) (byte, error) {
-	switch kind {
-	case "arrival":
-		return kindArrival, nil
-	case "completion":
-		return kindCompletion, nil
-	case "join":
-		return kindJoin, nil
-	case "leave":
-		return kindLeave, nil
-	case "edge-change":
-		return kindEdgeChange, nil
-	default:
-		return 0, fmt.Errorf("wal: unencodable event kind %q", kind)
-	}
-}
-
-func kindString(b byte) (string, error) {
-	switch b {
-	case kindArrival:
-		return "arrival", nil
-	case kindCompletion:
-		return "completion", nil
-	case kindJoin:
-		return "join", nil
-	case kindLeave:
-		return "leave", nil
-	case kindEdgeChange:
-		return "edge-change", nil
-	default:
-		return "", fmt.Errorf("%w: unknown event kind byte %d", ErrCorrupt, b)
-	}
-}
-
 // EncodeEvent appends the binary form of one wire event to dst. The
 // encoding is kind byte + varints, field order fixed per kind; it is the
 // payload of a RecordEvent. Only the fields the kind uses are encoded, so
@@ -163,14 +120,14 @@ func kindString(b byte) (string, error) {
 // canonical for their kind (zero-valued unused fields), which every event
 // the engine logs is.
 func EncodeEvent(dst []byte, ev *wire.Event) ([]byte, error) {
-	kb, err := kindByte(ev.Kind)
-	if err != nil {
-		return dst, err
+	kb := wire.KindCode(ev.Kind)
+	if kb == 0 {
+		return dst, fmt.Errorf("wal: unencodable event kind %q", ev.Kind)
 	}
 	dst = append(dst, kb)
 	dst = binary.AppendVarint(dst, ev.At)
 	switch kb {
-	case kindArrival:
+	case wire.KindArrival:
 		dst = binary.AppendVarint(dst, int64(ev.Node))
 		dst = binary.AppendUvarint(dst, uint64(ev.Tokens))
 		dst = binary.AppendVarint(dst, ev.Weight)
@@ -178,18 +135,18 @@ func EncodeEvent(dst []byte, ev *wire.Event) ([]byte, error) {
 		for _, w := range ev.Weights {
 			dst = binary.AppendVarint(dst, w)
 		}
-	case kindCompletion:
+	case wire.KindCompletion:
 		dst = binary.AppendVarint(dst, int64(ev.Node))
 		dst = binary.AppendUvarint(dst, uint64(ev.Count))
-	case kindJoin:
+	case wire.KindJoin:
 		dst = binary.AppendVarint(dst, ev.Speed)
 		dst = binary.AppendUvarint(dst, uint64(len(ev.Peers)))
 		for _, p := range ev.Peers {
 			dst = binary.AppendVarint(dst, int64(p))
 		}
-	case kindLeave:
+	case wire.KindLeave:
 		dst = binary.AppendVarint(dst, int64(ev.Node))
-	case kindEdgeChange:
+	case wire.KindEdgeChange:
 		dst = appendPairs(dst, ev.Add)
 		dst = appendPairs(dst, ev.Remove)
 	}
@@ -205,61 +162,14 @@ func appendPairs(dst []byte, pairs [][2]int) []byte {
 	return dst
 }
 
-// decoder reads varints off a payload with saturating error state.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.err = fmt.Errorf("%w: truncated varint", ErrCorrupt)
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = fmt.Errorf("%w: truncated uvarint", ErrCorrupt)
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// count validates a decoded collection length against both the remaining
-// payload (each element costs at least one byte) and an absolute cap, so a
-// corrupt length cannot drive a huge allocation.
-func (d *decoder) count(v uint64) int {
-	if d.err != nil {
-		return 0
-	}
-	if v > uint64(len(d.b)) || v > maxRecordPayload {
-		d.err = fmt.Errorf("%w: collection length %d exceeds remaining payload %d", ErrCorrupt, v, len(d.b))
-		return 0
-	}
-	return int(v)
-}
-
-func (d *decoder) pairs() [][2]int {
-	n := d.count(d.uvarint())
-	if d.err != nil || n == 0 {
+func readPairs(r *wire.Reader) [][2]int {
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([][2]int, n)
 	for i := range out {
-		out[i][0] = int(d.varint())
-		out[i][1] = int(d.varint())
+		out[i] = [2]int{int(r.Varint()), int(r.Varint())}
 	}
 	return out
 }
@@ -269,45 +179,32 @@ func DecodeEvent(payload []byte) (wire.Event, error) {
 	if len(payload) == 0 {
 		return wire.Event{}, fmt.Errorf("%w: empty event payload", ErrCorrupt)
 	}
-	kind, err := kindString(payload[0])
-	if err != nil {
-		return wire.Event{}, err
+	kb := payload[0]
+	if kb == 0 || int(kb) >= len(wire.Kinds) {
+		return wire.Event{}, fmt.Errorf("%w: unknown event kind byte %d", ErrCorrupt, kb)
 	}
-	d := &decoder{b: payload[1:]}
-	ev := wire.Event{Kind: kind, At: d.varint()}
-	switch payload[0] {
-	case kindArrival:
-		ev.Node = int(d.varint())
-		ev.Tokens = int(d.uvarint())
-		ev.Weight = d.varint()
-		if n := d.count(d.uvarint()); n > 0 {
-			ev.Weights = make([]int64, n)
-			for i := range ev.Weights {
-				ev.Weights[i] = d.varint()
-			}
-		}
-	case kindCompletion:
-		ev.Node = int(d.varint())
-		ev.Count = int(d.uvarint())
-	case kindJoin:
-		ev.Speed = d.varint()
-		if n := d.count(d.uvarint()); n > 0 {
-			ev.Peers = make([]int, n)
-			for i := range ev.Peers {
-				ev.Peers[i] = int(d.varint())
-			}
-		}
-	case kindLeave:
-		ev.Node = int(d.varint())
-	case kindEdgeChange:
-		ev.Add = d.pairs()
-		ev.Remove = d.pairs()
+	r := wire.NewReader(payload[1:])
+	ev := wire.Event{Kind: wire.Kinds[kb], At: r.Varint()}
+	switch kb {
+	case wire.KindArrival:
+		ev.Node = int(r.Varint())
+		ev.Tokens = int(r.Uvarint())
+		ev.Weight = r.Varint()
+		ev.Weights = wire.Varints[int64](&r)
+	case wire.KindCompletion:
+		ev.Node = int(r.Varint())
+		ev.Count = int(r.Uvarint())
+	case wire.KindJoin:
+		ev.Speed = r.Varint()
+		ev.Peers = wire.Varints[int](&r)
+	case wire.KindLeave:
+		ev.Node = int(r.Varint())
+	case wire.KindEdgeChange:
+		ev.Add = readPairs(&r)
+		ev.Remove = readPairs(&r)
 	}
-	if d.err != nil {
-		return wire.Event{}, d.err
-	}
-	if len(d.b) != 0 {
-		return wire.Event{}, fmt.Errorf("%w: %d trailing bytes after event", ErrCorrupt, len(d.b))
+	if err := r.Done(); err != nil {
+		return wire.Event{}, fmt.Errorf("%w: event: %v", ErrCorrupt, err)
 	}
 	if ev.Tokens < 0 || ev.Count < 0 {
 		return wire.Event{}, fmt.Errorf("%w: negative count field", ErrCorrupt)
@@ -328,19 +225,16 @@ func EncodeRoundMark(dst []byte, m RoundMark) []byte {
 
 // DecodeRoundMark parses the payload of a RecordRound.
 func DecodeRoundMark(payload []byte) (RoundMark, error) {
-	d := &decoder{b: payload}
+	r := wire.NewReader(payload)
 	m := RoundMark{
-		Round:   d.varint(),
-		Real:    d.varint(),
-		Total:   d.varint(),
-		Created: d.varint(),
-		Wmax:    d.varint(),
+		Round:   r.Varint(),
+		Real:    r.Varint(),
+		Total:   r.Varint(),
+		Created: r.Varint(),
+		Wmax:    r.Varint(),
 	}
-	if d.err != nil {
-		return RoundMark{}, d.err
-	}
-	if len(d.b) != 0 {
-		return RoundMark{}, fmt.Errorf("%w: %d trailing bytes after round mark", ErrCorrupt, len(d.b))
+	if err := r.Done(); err != nil {
+		return RoundMark{}, fmt.Errorf("%w: round mark: %v", ErrCorrupt, err)
 	}
 	if m.Round < 0 {
 		return RoundMark{}, fmt.Errorf("%w: negative round %d", ErrCorrupt, m.Round)

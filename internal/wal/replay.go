@@ -134,17 +134,16 @@ func readSnapshot(path string) (lsn, round int64, state []byte, err error) {
 	if body[0] != snapVer {
 		return 0, 0, nil, fmt.Errorf("%w: %s: unsupported snapshot version %d", ErrCorrupt, path, body[0])
 	}
-	d := &decoder{b: body[1:]}
-	lsn = d.varint()
-	round = d.varint()
-	n := d.count(d.uvarint())
-	if d.err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, d.err)
+	r := wire.NewReader(body[1:])
+	lsn, round = r.Varint(), r.Varint()
+	n := r.Count()
+	if r.Err() != nil {
+		return 0, 0, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, r.Err())
 	}
-	if len(d.b) != n {
-		return 0, 0, nil, fmt.Errorf("%w: %s: snapshot state length %d != declared %d", ErrCorrupt, path, len(d.b), n)
+	if state = r.Rest(); len(state) != n {
+		return 0, 0, nil, fmt.Errorf("%w: %s: snapshot state length %d != declared %d", ErrCorrupt, path, len(state), n)
 	}
-	return lsn, round, d.b, nil
+	return lsn, round, state, nil
 }
 
 // segHeader parses a segment file header, returning the first record LSN
